@@ -327,7 +327,7 @@ int main(int argc, char** argv) {
             .count();
     std::printf("%-16s p99 %10.4fs  join %016llx\n", "baseline",
                 baseline_p99, static_cast<unsigned long long>(join_fp));
-    samples.push_back({"baseline_p99", wall, baseline_p99});
+    samples.push_back({"baseline_p99", {wall}, baseline_p99});
   }
 
   // ---- Scenario 1: rolling restart ---------------------------------------
@@ -388,7 +388,7 @@ int main(int argc, char** argv) {
         static_cast<double>(rolling.migration_bytes) / (1024.0 * 1024.0),
         static_cast<long long>(rolling.crashes));
     samples.push_back(
-        {"rolling_restart_p99", rolling.wall_seconds, rolling.p99});
+        {"rolling_restart_p99", {rolling.wall_seconds}, rolling.p99});
   }
 
   // ---- Scenario 2: flash crowd with hot-tile shedding ---------------------
@@ -428,7 +428,7 @@ int main(int argc, char** argv) {
         "flash-crowd", flash.p99, static_cast<long long>(flash.tiles_moved),
         static_cast<double>(flash.migration_bytes) / (1024.0 * 1024.0),
         static_cast<long long>(flash.crashes));
-    samples.push_back({"flash_crowd_p99", flash.wall_seconds, flash.p99});
+    samples.push_back({"flash_crowd_p99", {flash.wall_seconds}, flash.p99});
   }
 
   // ---- Scenario 3: scale-out 4 -> 6 mid-workload --------------------------
@@ -466,14 +466,14 @@ int main(int argc, char** argv) {
         static_cast<long long>(scaleout.tiles_moved),
         static_cast<double>(scaleout.migration_bytes) / (1024.0 * 1024.0),
         static_cast<long long>(scaleout.crashes));
-    samples.push_back({"scaleout_p99", scaleout.wall_seconds, scaleout.p99});
+    samples.push_back({"scaleout_p99", {scaleout.wall_seconds}, scaleout.p99});
   }
 
   std::printf("digest %016llx\n", static_cast<unsigned long long>(digest));
   std::printf("churn harness PASSED\n");
 
   if (!json_path.empty()) {
-    samples.push_back({"migration_mb", 0.0,
+    samples.push_back({"migration_mb", {0.0},
                        static_cast<double>(rolling.migration_bytes +
                                            flash.migration_bytes +
                                            scaleout.migration_bytes) /

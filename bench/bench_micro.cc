@@ -216,7 +216,6 @@ paradise::storage::BufferPool::Stats PoolStatsAllNodes(
 }
 
 std::vector<paradise::bench::QueryPerfSample> RunQuerySection() {
-  using Clock = std::chrono::steady_clock;
   using paradise::storage::BufferPool;
 
   paradise::bench::BenchConfig cfg;
@@ -225,31 +224,41 @@ std::vector<paradise::bench::QueryPerfSample> RunQuerySection() {
   cfg.raster_size = 128;
   paradise::bench::LoadedDb loaded = paradise::bench::LoadDb(cfg, 4, 1);
   loaded.cluster->SetNumThreads(8);
-  std::printf("\nquery section: 4 nodes, 8 threads, %d pool shards/node\n",
-              loaded.cluster->node(0).pool()->num_shards());
+  std::printf("\nquery section: 4 nodes, 8 threads, %d pool shards/node, "
+              "warm-up + %d passes (wall = min)\n",
+              loaded.cluster->node(0).pool()->num_shards(),
+              paradise::bench::kTimedPasses);
   std::printf("%-6s %12s %12s %9s %10s %10s %10s\n", "query", "wall_ms",
               "modeled_s", "hit_rate", "misses", "ra_batch", "ra_pages");
 
-  std::vector<paradise::bench::QueryPerfSample> samples;
-  for (int query : {2, 5, 11, 12, 13}) {
-    BufferPool::Stats before = PoolStatsAllNodes(loaded.cluster.get());
-    Clock::time_point t0 = Clock::now();
-    double modeled =
-        paradise::bench::RunQuerySeconds(loaded.db.get(), query);
-    double wall = std::chrono::duration<double>(Clock::now() - t0).count();
-    BufferPool::Stats after = PoolStatsAllNodes(loaded.cluster.get());
-    BufferPool::Stats d;
-    d.Add(after);
-    d.hits -= before.hits;
-    d.misses -= before.misses;
-    d.readahead_batches -= before.readahead_batches;
-    d.readahead_pages -= before.readahead_pages;
-    std::printf("Q%-5d %12.1f %12.6f %8.1f%% %10lld %10lld %10lld\n", query,
-                wall * 1e3, modeled, d.hit_rate() * 100,
+  const std::vector<int> queries = {2, 5, 11, 12, 13};
+  std::vector<BufferPool::Stats> deltas(queries.size());  // latest run's
+  std::vector<paradise::bench::TimedRow> rows;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    rows.push_back({"Q" + std::to_string(queries[i]), [&, i] {
+                      BufferPool::Stats before =
+                          PoolStatsAllNodes(loaded.cluster.get());
+                      double modeled = paradise::bench::RunQuerySeconds(
+                          loaded.db.get(), queries[i]);
+                      BufferPool::Stats& d = deltas[i];
+                      d = PoolStatsAllNodes(loaded.cluster.get());
+                      d.hits -= before.hits;
+                      d.misses -= before.misses;
+                      d.readahead_batches -= before.readahead_batches;
+                      d.readahead_pages -= before.readahead_pages;
+                      return modeled;
+                    }});
+  }
+  std::vector<paradise::bench::QueryPerfSample> samples =
+      paradise::bench::TimePasses(rows);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const BufferPool::Stats& d = deltas[i];
+    std::printf("Q%-5d %12.1f %12.6f %8.1f%% %10lld %10lld %10lld\n",
+                queries[i], samples[i].min_wall_seconds() * 1e3,
+                samples[i].modeled_seconds, d.hit_rate() * 100,
                 static_cast<long long>(d.misses),
                 static_cast<long long>(d.readahead_batches),
                 static_cast<long long>(d.readahead_pages));
-    samples.push_back({"Q" + std::to_string(query), wall, modeled});
   }
   return samples;
 }
@@ -261,7 +270,6 @@ std::vector<paradise::bench::QueryPerfSample> RunQuerySection() {
 /// cost-model drift. The 1- and 8-thread PBSM rows must report identical
 /// modeled seconds (the determinism contract); the gate then watches both.
 std::vector<paradise::bench::QueryPerfSample> RunSpatialJoinSection() {
-  using Clock = std::chrono::steady_clock;
   paradise::sim::CostModel model;
   Rng rng(6);
   TupleVec left = MakeLines(&rng, 6000);
@@ -269,73 +277,66 @@ std::vector<paradise::bench::QueryPerfSample> RunSpatialJoinSection() {
   paradise::exec::PbsmOptions opts;
   opts.num_partitions = 64;
 
-  std::vector<paradise::bench::QueryPerfSample> samples;
   size_t pbsm_rows = 0;
-  auto run_pbsm = [&](const std::string& name, int threads) {
-    paradise::common::ThreadPool pool(threads);
+  paradise::common::ThreadPool pool1(1), pool8(8);
+  auto pbsm = [&](paradise::common::ThreadPool* pool) {
     paradise::sim::NodeClock clock;
     ExecContext ctx;
     ctx.clock = &clock;
-    ctx.pool = &pool;
-    Clock::time_point t0 = Clock::now();
+    ctx.pool = pool;
     auto r = paradise::exec::PbsmSpatialJoin(left, 1, right, 1, ctx, opts);
-    double wall = std::chrono::duration<double>(Clock::now() - t0).count();
     if (!r.ok()) {
-      std::fprintf(stderr, "%s failed\n", name.c_str());
+      std::fprintf(stderr, "pbsm_join failed\n");
       std::exit(1);
     }
     pbsm_rows = r->size();
-    samples.push_back({name, wall, model.Seconds(clock.EndPhase())});
+    return model.Seconds(clock.EndPhase());
   };
-  run_pbsm("pbsm_join_1t", 1);
-  run_pbsm("pbsm_join_8t", 8);
-
-  {
-    // Two-layer class mini-join plan on the same inputs: no dedup branch
-    // in the hot path, same result cardinality as replicate-and-dedup.
-    paradise::common::ThreadPool pool(8);
+  // Two-layer class mini-join plan on the same inputs: no dedup branch
+  // in the hot path, same result cardinality as replicate-and-dedup.
+  paradise::exec::TwoLayerOptions two;
+  two.tiles_per_axis = 32;
+  two.num_tasks = 64;
+  auto two_layer = [&] {
     paradise::sim::NodeClock clock;
     ExecContext ctx;
     ctx.clock = &clock;
-    ctx.pool = &pool;
+    ctx.pool = &pool8;
     paradise::exec::PbsmJoinStats stats;
     ctx.pbsm_stats = &stats;
-    paradise::exec::TwoLayerOptions two;
-    two.tiles_per_axis = 32;
-    two.num_tasks = 64;
-    Clock::time_point t0 = Clock::now();
     auto r = paradise::exec::TwoLayerSpatialJoin(left, 1, right, 1, ctx, two);
-    double wall = std::chrono::duration<double>(Clock::now() - t0).count();
     if (!r.ok() || r->size() != pbsm_rows || stats.dedup_tests != 0 ||
         stats.dedup_dropped != 0) {
       std::fprintf(stderr, "two_layer_join diverged from pbsm\n");
       std::exit(1);
     }
-    samples.push_back(
-        {"two_layer_join", wall, model.Seconds(clock.EndPhase())});
-  }
-
-  {
-    ExecContext no_charge;
-    auto tree = paradise::exec::BuildRTreeOnColumn(right, 1, no_charge);
+    return model.Seconds(clock.EndPhase());
+  };
+  ExecContext no_charge;
+  auto tree = paradise::exec::BuildRTreeOnColumn(right, 1, no_charge);
+  auto index = [&] {
     paradise::sim::NodeClock clock;
     ExecContext ctx;
     ctx.clock = &clock;
-    Clock::time_point t0 = Clock::now();
-    auto r =
-        paradise::exec::IndexSpatialJoin(left, 1, right, 1, *tree, ctx);
-    double wall = std::chrono::duration<double>(Clock::now() - t0).count();
+    auto r = paradise::exec::IndexSpatialJoin(left, 1, right, 1, *tree, ctx);
     if (!r.ok()) {
       std::fprintf(stderr, "index_join failed\n");
       std::exit(1);
     }
-    samples.push_back({"index_join", wall, model.Seconds(clock.EndPhase())});
-  }
+    return model.Seconds(clock.EndPhase());
+  };
+  std::vector<paradise::bench::QueryPerfSample> samples =
+      paradise::bench::TimePasses(
+          {{"pbsm_join_1t", [&] { return pbsm(&pool1); }},
+           {"pbsm_join_8t", [&] { return pbsm(&pool8); }},
+           {"two_layer_join", two_layer},
+           {"index_join", index}});
 
-  std::printf("\nspatial-join section:\n");
+  std::printf("\nspatial-join section (warm-up + %d passes, wall = min):\n",
+              paradise::bench::kTimedPasses);
   for (const auto& s : samples) {
-    std::printf("%-14s %10.1f ms  modeled %12.6f s\n", s.name.c_str(),
-                s.wall_seconds * 1e3, s.modeled_seconds);
+    std::printf("%-14s %10.1f ms min  modeled %12.6f s\n", s.name.c_str(),
+                s.min_wall_seconds() * 1e3, s.modeled_seconds);
   }
   return samples;
 }
@@ -415,9 +416,8 @@ std::vector<paradise::bench::QueryPerfSample> RunAdaptiveJoinSection() {
               "wall_ms");
 
   size_t rows_expected = 0;
-  std::vector<paradise::bench::QueryPerfSample> samples;
-  auto run = [&](const char* label, const paradise::opt::JoinDecision* force,
-                 bool gate) {
+  paradise::core::AdaptiveJoinReport rep;
+  auto run = [&](const char* label, const paradise::opt::JoinDecision* force) {
     paradise::core::QueryCoordinator coord(&cluster);
     if (!coord.BeginQuery().ok()) {
       std::fprintf(stderr, "adaptive_join BeginQuery failed\n");
@@ -429,13 +429,11 @@ std::vector<paradise::bench::QueryPerfSample> RunAdaptiveJoinSection() {
     opts.right_stats_table = "road_corridors";
     opts.pbsm.num_partitions = 64;
     opts.override_decision = force;
-    paradise::core::AdaptiveJoinReport rep;
+    rep = paradise::core::AdaptiveJoinReport();
     opts.report = &rep;
-    Clock::time_point t0 = Clock::now();
     auto r = paradise::core::ParallelSpatialJoin(&coord, lper, point_col,
                                                  rper, corridor_col, universe,
                                                  opts);
-    double wall = std::chrono::duration<double>(Clock::now() - t0).count();
     if (!r.ok()) {
       std::fprintf(stderr, "adaptive_join (%s) failed\n", label);
       std::exit(1);
@@ -448,6 +446,9 @@ std::vector<paradise::bench::QueryPerfSample> RunAdaptiveJoinSection() {
       std::fprintf(stderr, "adaptive_join: method changed the result!\n");
       std::exit(1);
     }
+    return rep.observed_seconds;
+  };
+  auto print = [&](const char* label, double wall) {
     char tuned[32];
     if (rep.used_tuned_grid) {
       std::snprintf(tuned, sizeof(tuned), "%.2f", rep.predicted_skew);
@@ -462,15 +463,24 @@ std::vector<paradise::bench::QueryPerfSample> RunAdaptiveJoinSection() {
                 rep.decision.from_feedback ? "learned" : "heuristic", tuned,
                 rep.decision.predicted_seconds, rep.observed_seconds,
                 wall * 1e3);
-    if (gate) samples.push_back({"adaptive_join", wall, rep.observed_seconds});
   };
   paradise::opt::JoinDecision force_pbsm;
   force_pbsm.method = paradise::opt::JoinMethod::kPbsm;
   paradise::opt::JoinDecision force_inl;
   force_inl.method = paradise::opt::JoinMethod::kIndexNestedLoops;
-  run("seed:pbsm", &force_pbsm, false);
-  run("seed:index", &force_inl, false);
-  run("advisor", nullptr, true);
+  // The seeding runs are single-shot: repeating them would only feed the
+  // advisor more of the same observations. The advisor's run is gated.
+  auto seed = [&](const char* label, const paradise::opt::JoinDecision* force) {
+    Clock::time_point t0 = Clock::now();
+    run(label, force);
+    print(label, std::chrono::duration<double>(Clock::now() - t0).count());
+  };
+  seed("seed:pbsm", &force_pbsm);
+  seed("seed:index", &force_inl);
+  std::vector<paradise::bench::QueryPerfSample> samples =
+      paradise::bench::TimePasses(
+          {{"adaptive_join", [&] { return run("advisor", nullptr); }}});
+  print("advisor", samples.back().min_wall_seconds());
   return samples;
 }
 
@@ -549,7 +559,7 @@ std::vector<paradise::bench::QueryPerfSample> RunPoolSweep(
                   static_cast<long long>(d.misses + d.readahead_pages));
       samples.push_back({"pool" + std::to_string(mb) + "mb_Q" +
                              std::to_string(query),
-                         wall, modeled});
+                         {wall}, modeled});
     }
     session.EndStream();
     loaded.cluster->set_workload_session(nullptr);

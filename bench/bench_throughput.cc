@@ -19,8 +19,8 @@
 //        --json <path>    machine-readable report for the CI perf gate
 //        plus the usual sizing flags of BenchConfig (--quick etc.)
 
-#include <chrono>
 #include <cstring>
+#include <optional>
 
 #include "bench/bench_util.h"
 #include "benchmark/workload.h"
@@ -127,46 +127,59 @@ int main(int argc, char** argv) {
               "qps", "p50_s", "p99_s", "makespan", "hits", "miss",
               "ra_batch", "shared_w", "digest");
 
-  std::vector<QueryPerfSample> samples;
-  for (int streams : targs.streams) {
-    // Fresh database per client count: every sweep point starts from the
-    // same cold state, so rows/digests are comparable across runs.
-    LoadedDb loaded = LoadSmallPoolDb(cfg, targs.pool_frames);
-
+  // Fresh database per client count: every sweep point starts from the
+  // same cold state, so rows/digests are comparable across runs.
+  // RunWorkload cold-resets the pools first, so the warm-up and every
+  // timed pass must reproduce the same digest.
+  const size_t n = targs.streams.size();
+  std::vector<LoadedDb> dbs(n);
+  std::vector<WorkloadReport> reports(n);
+  std::vector<std::optional<uint64_t>> digests(n);
+  std::vector<paradise::bench::TimedRow> rows;
+  for (size_t i = 0; i < n; ++i) {
+    dbs[i] = LoadSmallPoolDb(cfg, targs.pool_frames);
     WorkloadOptions wopts;
-    wopts.num_streams = streams;
+    wopts.num_streams = targs.streams[i];
     wopts.mix = targs.mix;
     wopts.queries_per_stream = targs.queries_per_stream;
     wopts.seed = cfg.seed;
     wopts.mean_think_seconds = targs.mean_think_seconds;
     wopts.session.scan_sharing = targs.scan_sharing;
     wopts.session.result_cache = targs.result_cache;
-
-    auto t0 = std::chrono::steady_clock::now();
-    auto report = RunWorkload(loaded.db.get(), wopts);
-    double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    if (!report.ok()) {
-      std::fprintf(stderr, "workload (%d streams) failed: %s\n", streams,
-                   report.status().ToString().c_str());
-      return 1;
-    }
-    const WorkloadReport& r = *report;
+    rows.push_back({"streams_" + std::to_string(targs.streams[i]),
+                    [&, i, wopts] {
+                      auto report = RunWorkload(dbs[i].db.get(), wopts);
+                      if (!report.ok()) {
+                        std::fprintf(stderr,
+                                     "workload (%d streams) failed: %s\n",
+                                     wopts.num_streams,
+                                     report.status().ToString().c_str());
+                        std::exit(1);
+                      }
+                      reports[i] = std::move(*report);
+                      if (!digests[i]) digests[i] = reports[i].Digest();
+                      if (reports[i].Digest() != *digests[i]) {
+                        std::fprintf(stderr,
+                                     "workload (%d streams) digest moved\n",
+                                     wopts.num_streams);
+                        std::exit(1);
+                      }
+                      // The makespan feeds the cost-model drift gate.
+                      return reports[i].makespan_seconds;
+                    }});
+  }
+  std::vector<QueryPerfSample> samples = paradise::bench::TimePasses(rows);
+  for (size_t i = 0; i < n; ++i) {
+    const WorkloadReport& r = reports[i];
     std::printf(
         "%-8d %8.3f %10.4f %10.4f %10.4f %6lld %6lld %9lld %9lld  %016llx\n",
-        streams, r.qps(), r.LatencyPercentile(0.50),
+        targs.streams[i], r.qps(), r.LatencyPercentile(0.50),
         r.LatencyPercentile(0.99), r.makespan_seconds,
         static_cast<long long>(r.cache_hits),
         static_cast<long long>(r.cache_misses),
         static_cast<long long>(r.readahead_batches),
         static_cast<long long>(r.scan_shared_windows),
-        static_cast<unsigned long long>(r.Digest()));
-
-    // wall_seconds feeds the host-perf ratio gate; modeled_seconds (the
-    // workload makespan) feeds the cost-model drift gate.
-    samples.push_back({"streams_" + std::to_string(streams), wall,
-                       r.makespan_seconds});
+        static_cast<unsigned long long>(*digests[i]));
   }
 
   if (!json_path.empty()) {

@@ -1,9 +1,12 @@
 #ifndef PARADISE_BENCH_BENCH_UTIL_H_
 #define PARADISE_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -98,14 +101,62 @@ inline double RunQuerySeconds(benchmark::BenchmarkDatabase* db, int query) {
   return r->seconds;
 }
 
-/// One benchmarked query for the machine-readable report: host wall-clock
-/// (what the CI perf-smoke job regresses on) next to the modeled seconds
-/// (what the paper's experiments report).
+/// One benchmarked row for the machine-readable report: host wall-clock
+/// samples (what the CI perf-smoke job regresses on) next to the modeled
+/// seconds (what the paper's experiments report).
 struct QueryPerfSample {
   std::string name;
-  double wall_seconds = 0.0;
+  std::vector<double> wall_seconds;  // one per timed pass
   double modeled_seconds = 0.0;
+
+  double min_wall_seconds() const {
+    return *std::min_element(wall_seconds.begin(), wall_seconds.end());
+  }
 };
+
+/// Timed passes over the gated rows, after one untimed warm-up pass. The
+/// gate compares each row's minimum, the statistic a busy host disturbs
+/// least.
+inline constexpr int kTimedPasses = 10;
+
+/// One gated row: `run` executes it once and returns its modeled seconds.
+struct TimedRow {
+  std::string name;
+  std::function<double()> run;
+};
+
+/// Runs every row once to warm up, then kTimedPasses timed passes over all
+/// rows in order. Whole passes rather than back-to-back repeats of one
+/// row: every run of a row then follows the same predecessor (a query's
+/// modeled disk charge depends on where the previous query left the disk
+/// head), and a noisy stretch of host time spreads over all rows. Modeled
+/// seconds are deterministic: a timed run that disagrees with its row's
+/// warm-up exits nonzero.
+inline std::vector<QueryPerfSample> TimePasses(
+    const std::vector<TimedRow>& rows) {
+  std::vector<QueryPerfSample> samples;
+  for (const TimedRow& row : rows) {
+    samples.push_back({row.name, {}, row.run()});
+  }
+  for (int pass = 0; pass < kTimedPasses; ++pass) {
+    for (size_t i = 0; i < rows.size(); ++i) {
+      const auto t0 = std::chrono::steady_clock::now();
+      const double modeled = rows[i].run();
+      const std::chrono::duration<double> wall =
+          std::chrono::steady_clock::now() - t0;
+      samples[i].wall_seconds.push_back(wall.count());
+      if (modeled != samples[i].modeled_seconds) {
+        std::fprintf(stderr,
+                     "%s: modeled seconds moved between passes (%.9f vs "
+                     "%.9f)\n",
+                     rows[i].name.c_str(), samples[i].modeled_seconds,
+                     modeled);
+        std::exit(1);
+      }
+    }
+  }
+  return samples;
+}
 
 /// Pulls `--json <path>` / `--json=<path>` out of argv (compacting it so
 /// later parsers never see the flag) and returns the path, or "" if absent.
@@ -126,8 +177,9 @@ inline std::string ExtractJsonPathArg(int* argc, char** argv) {
 }
 
 /// Writes the samples as a small JSON document:
-///   {"bench": "<name>", "queries": [{"name": ..., "wall_seconds": ...,
-///    "modeled_seconds": ...}, ...]}
+///   {"bench": "<name>", "queries": [{"name": ..., "reps": N,
+///    "wall_min_seconds": ..., "wall_median_seconds": ...,
+///    "wall_spread": (max - min) / median, "modeled_seconds": ...}, ...]}
 /// Exits nonzero if the file cannot be written (a silent miss would let
 /// the CI perf gate pass vacuously).
 inline void WriteBenchJson(const std::string& path,
@@ -141,11 +193,20 @@ inline void WriteBenchJson(const std::string& path,
   std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"queries\": [\n",
                bench_name.c_str());
   for (size_t i = 0; i < samples.size(); ++i) {
+    std::vector<double> walls = samples[i].wall_seconds;
+    std::sort(walls.begin(), walls.end());
+    const size_t n = walls.size();
+    const double median =
+        n == 0 ? 0.0 : (walls[(n - 1) / 2] + walls[n / 2]) / 2;
+    const double spread =
+        median > 0 ? (walls.back() - walls.front()) / median : 0.0;
     std::fprintf(f,
-                 "    {\"name\": \"%s\", \"wall_seconds\": %.6f, "
+                 "    {\"name\": \"%s\", \"reps\": %zu, "
+                 "\"wall_min_seconds\": %.6f, "
+                 "\"wall_median_seconds\": %.6f, \"wall_spread\": %.3f, "
                  "\"modeled_seconds\": %.9f}%s\n",
-                 samples[i].name.c_str(), samples[i].wall_seconds,
-                 samples[i].modeled_seconds,
+                 samples[i].name.c_str(), n, n == 0 ? 0.0 : walls.front(),
+                 median, spread, samples[i].modeled_seconds,
                  i + 1 < samples.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");

@@ -9,6 +9,10 @@ flip side: a *uniform* slowdown of every query is absorbed by the
 normalization — the modeled-seconds check below is the backstop, since
 modeled time is deterministic and host-independent.
 
+Each row's wall statistic is its minimum over the bench's timed passes
+(`wall_min_seconds`; the benches run one warm-up pass first): a busy host
+only ever adds time, so the minimum is the sample least disturbed by it.
+
 Modeled seconds must match the baseline closely; they only move when the
 cost model, plans, or storage charging change, and such a change should be
 deliberate — regenerate the baseline with:
@@ -48,12 +52,19 @@ def main():
         print(f"queries missing from current run: {', '.join(missing)}")
         return 1
 
+    for doc, path in ((base, args.baseline), (cur, args.current)):
+        stale = sorted(n for n in common if "wall_min_seconds" not in doc[n])
+        if stale:
+            print(f"{path}: rows without wall_min_seconds ({', '.join(stale)});"
+                  " regenerate it with the current bench")
+            return 1
+
     ratios = {}
     for name in common:
-        b = base[name]["wall_seconds"]
-        c = cur[name]["wall_seconds"]
+        b = base[name]["wall_min_seconds"]
+        c = cur[name]["wall_min_seconds"]
         if b <= 0:
-            print(f"{name}: baseline wall_seconds {b} is not positive")
+            print(f"{name}: baseline wall_min_seconds {b} is not positive")
             return 1
         ratios[name] = c / b
     median = statistics.median(ratios.values())
@@ -74,8 +85,8 @@ def main():
         if drift > args.modeled_tolerance:
             marks.append("MODELED DRIFT (regenerate baseline if intended)")
             failed = True
-        print(f"{name:<8}{b['wall_seconds']*1e3:>10.2f}"
-              f"{c['wall_seconds']*1e3:>10.2f}{norm:>12.3f}{drift:>14.1%}"
+        print(f"{name:<8}{b['wall_min_seconds']*1e3:>10.2f}"
+              f"{c['wall_min_seconds']*1e3:>10.2f}{norm:>12.3f}{drift:>14.1%}"
               f"  {' '.join(marks)}")
     return 1 if failed else 0
 

@@ -5,9 +5,11 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <utility>
 #include <vector>
 
+#include "common/logging.h"
 #include "exec/exec_context.h"
 #include "exec/tuple.h"
 #include "geom/box.h"
@@ -106,14 +108,22 @@ struct Candidate {
 /// mispredict. Flushes fire whenever the buffer fills and once more at the
 /// caller's final Flush() — the flush boundaries are a pure function of
 /// the candidate sequence, so charges replayed inside the callback land in
-/// the same order at any thread count.
+/// the same order at any thread count. The storage is allocated once and
+/// left uninitialized (every slot is written before it is read), and one
+/// batch serves any number of sweeps: a caller reuses it across tasks by
+/// rebinding the callback with set_flush() while the batch is empty.
 class CandidateBatch {
  public:
   using FlushFn = std::function<void(const Candidate*, size_t)>;
 
-  CandidateBatch(size_t capacity, FlushFn flush)
-      : cap_(capacity == 0 ? 1 : capacity), flush_(std::move(flush)) {
-    buf_.resize(cap_);
+  explicit CandidateBatch(size_t capacity, FlushFn flush = nullptr)
+      : cap_(capacity == 0 ? 1 : capacity),
+        buf_(std::make_unique_for_overwrite<Candidate[]>(cap_)),
+        flush_(std::move(flush)) {}
+
+  void set_flush(FlushFn flush) {
+    PARADISE_DCHECK(n_ == 0);
+    flush_ = std::move(flush);
   }
 
   void Push(uint32_t left_pos, uint32_t right_pos, bool keep) {
@@ -124,7 +134,7 @@ class CandidateBatch {
 
   void Flush() {
     if (n_ == 0) return;
-    flush_(buf_.data(), n_);
+    flush_(buf_.get(), n_);
     n_ = 0;
   }
 
@@ -133,7 +143,7 @@ class CandidateBatch {
  private:
   size_t cap_;
   size_t n_ = 0;
-  std::vector<Candidate> buf_;
+  std::unique_ptr<Candidate[]> buf_;
   FlushFn flush_;
 };
 

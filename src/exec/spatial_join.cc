@@ -175,11 +175,14 @@ struct SideParts {
 
 /// Per-thread sweep buffers, reused across the partitions a worker runs:
 /// every field is fully rewritten before use, so reuse affects only
-/// allocation traffic, never results or charges.
+/// allocation traffic, never results or charges. Each sweep task binds
+/// `batch` to its own flush callback and flushes it after every sweep, so
+/// flush boundaries match a fresh batch per sweep.
 struct SweepScratch {
   join_kernel::SweepSide ls, rs;
   std::vector<join_kernel::AosItem> l_items, r_items;
   std::vector<join_kernel::OrdinalPair> survivors;
+  join_kernel::CandidateBatch batch{join_kernel::kCandidateBatchSize};
 };
 thread_local SweepScratch t_sweep_scratch;
 
@@ -342,6 +345,7 @@ StatusOr<TupleVec> PbsmJoinBody(const TupleVec& left, size_t left_col,
     // corner and source ordinal, so both kernels share one code path.
     SweepScratch& scratch = t_sweep_scratch;
     std::vector<join_kernel::OrdinalPair>& survivors = scratch.survivors;
+    join_kernel::CandidateBatch& batch = scratch.batch;
     auto make_flush = [&](auto lxlo_at, auto lylo_at, auto lord_at,
                           auto rxlo_at, auto rylo_at, auto rord_at) {
       return [&, lxlo_at, lylo_at, lord_at, rxlo_at, rylo_at,
@@ -376,8 +380,7 @@ StatusOr<TupleVec> PbsmJoinBody(const TupleVec& left, size_t left_col,
       rs.GatherPresorted(right_cols, &right_parts.rows[right_parts.begin(p)],
                          rn);
       task_ctx.ChargeCpu(sort_charge);
-      join_kernel::CandidateBatch batch(
-          join_kernel::kCandidateBatchSize,
+      batch.set_flush(
           make_flush([&](uint32_t i) { return ls.xlo()[i]; },
                      [&](uint32_t i) { return ls.ylo()[i]; },
                      [&](uint32_t i) { return ls.ordinal(i); },
@@ -401,8 +404,7 @@ StatusOr<TupleVec> PbsmJoinBody(const TupleVec& left, size_t left_col,
       gather_aos(left_cols, &left_parts.rows[left_parts.begin(p)], ln, &L);
       gather_aos(right_cols, &right_parts.rows[right_parts.begin(p)], rn, &R);
       task_ctx.ChargeCpu(sort_charge);
-      join_kernel::CandidateBatch batch(
-          join_kernel::kCandidateBatchSize,
+      batch.set_flush(
           make_flush([&](uint32_t i) { return L[i].box.xmin; },
                      [&](uint32_t i) { return L[i].box.ymin; },
                      [&](uint32_t i) { return L[i].ordinal; },
@@ -801,6 +803,23 @@ StatusOr<TupleVec> TwoLayerSpatialJoin(const TupleVec& left, size_t left_col,
     sim::NodeClock task_clock;
     ExecContext task_ctx = TaskContext(ctx, &task_clock);
     SweepScratch& scratch = t_sweep_scratch;
+    std::vector<join_kernel::OrdinalPair>& pairs = scratch.survivors;
+    join_kernel::CandidateBatch& batch = scratch.batch;
+    join_kernel::SweepSide& ls = scratch.ls;
+    join_kernel::SweepSide& rs = scratch.rs;
+    batch.set_flush([&](const join_kernel::Candidate* cands, size_t n) {
+      task.candidates += static_cast<int64_t>(n);
+      task.exact_tests += static_cast<int64_t>(n);
+      if (!task.status.ok() || n == 0) return;
+      pairs.clear();
+      for (size_t t = 0; t < n; ++t) {
+        pairs.push_back({ls.ordinal(cands[t].left_pos),
+                         rs.ordinal(cands[t].right_pos)});
+      }
+      task.status = join_kernel::ExactJoinBatch(
+          left, left_col, right, right_col, pairs.data(), n, task_ctx,
+          &task.out);
+    });
     for (uint32_t d : group_tiles[g]) {
       size_t l_total = 0, r_total = 0;
       for (size_t c = 0; c < 4; ++c) {
@@ -822,28 +841,10 @@ StatusOr<TupleVec> TwoLayerSpatialJoin(const TupleVec& left, size_t left_col,
         const size_t ln = left_parts.count(lk);
         const size_t rn = right_parts.count(rk);
         if (ln == 0 || rn == 0) continue;
-        join_kernel::SweepSide& ls = scratch.ls;
-        join_kernel::SweepSide& rs = scratch.rs;
         ls.GatherPresorted(left_cols, &left_parts.rows[left_parts.begin(lk)],
                            ln);
         rs.GatherPresorted(right_cols,
                            &right_parts.rows[right_parts.begin(rk)], rn);
-        std::vector<join_kernel::OrdinalPair>& pairs = scratch.survivors;
-        join_kernel::CandidateBatch batch(
-            join_kernel::kCandidateBatchSize,
-            [&](const join_kernel::Candidate* cands, size_t n) {
-              task.candidates += static_cast<int64_t>(n);
-              task.exact_tests += static_cast<int64_t>(n);
-              if (!task.status.ok() || n == 0) return;
-              pairs.clear();
-              for (size_t t = 0; t < n; ++t) {
-                pairs.push_back({ls.ordinal(cands[t].left_pos),
-                                 rs.ordinal(cands[t].right_pos)});
-              }
-              task.status = join_kernel::ExactJoinBatch(
-                  left, left_col, right, right_col, pairs.data(), n, task_ctx,
-                  &task.out);
-            });
         task.compares += join_kernel::SweepForCandidates(ls, rs, &batch);
         batch.Flush();
       }

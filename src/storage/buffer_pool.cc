@@ -1,6 +1,7 @@
 #include "storage/buffer_pool.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <map>
 #include <thread>
@@ -329,6 +330,7 @@ void BufferPool::Prefetch(PageId first, uint32_t count) {
 void BufferPool::PrefetchWindow(Shard& s, DiskVolume* volume,
                                 const sim::RetryPolicy& policy, PageId first,
                                 uint32_t count) {
+  PARADISE_CHECK(count <= kRunPages);  // Prefetch never crosses a group
   std::lock_guard<std::mutex> g(s.mu);
   // A window that cannot fit alongside the pages it serves would evict
   // itself out of a tiny shard; skip and let demand reads handle it.
@@ -348,20 +350,18 @@ void BufferPool::PrefetchWindow(Shard& s, DiskVolume* volume,
     uint32_t run_len = j - i;
     PageNo run_first = first.page_no + i;
 
-    std::vector<internal::Frame*> frames;
-    frames.reserve(run_len);
+    std::array<internal::Frame*, kRunPages> frames{};
+    std::array<Page*, kRunPages> pages{};
+    std::array<Status, kRunPages> statuses;
     for (uint32_t k = 0; k < run_len; ++k) {
       auto victim_or = FindVictimLocked(s);
-      if (!victim_or.ok()) break;  // advisory: stop if nothing evictable
-      frames.push_back(victim_or.value());
+      if (!victim_or.ok()) {  // advisory: stop if nothing evictable
+        for (uint32_t u = 0; u < k; ++u) s.free_frames.push_back(frames[u]);
+        return;
+      }
+      frames[k] = victim_or.value();
+      pages[k] = &frames[k]->page;
     }
-    if (frames.size() < run_len) {
-      for (internal::Frame* f : frames) s.free_frames.push_back(f);
-      return;
-    }
-    std::vector<Page*> pages(run_len);
-    for (uint32_t k = 0; k < run_len; ++k) pages[k] = &frames[k]->page;
-    std::vector<Status> statuses(run_len, Status::OK());
     // Scan sharing: while a gate is armed, every free_eighths-th-of-8
     // window (by issue ordinal — a pure function of the access sequence,
     // never of the thread schedule) attaches to the concurrent scan that
@@ -374,7 +374,9 @@ void BufferPool::PrefetchWindow(Shard& s, DiskVolume* volume,
     Status run_st = volume->ReadRun(run_first, run_len, pages.data(),
                                     statuses.data(), /*charge=*/!attached);
     if (!run_st.ok()) {
-      for (internal::Frame* f : frames) s.free_frames.push_back(f);
+      for (uint32_t k = 0; k < run_len; ++k) {
+        s.free_frames.push_back(frames[k]);
+      }
       return;
     }
     if (attached) {

@@ -6,7 +6,12 @@
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "core/cluster.h"
+#include "core/coordinator.h"
+#include "core/parallel_ops.h"
+#include "core/table.h"
 #include "exec/spatial_join.h"
+#include "sim/fault_injector.h"
 
 namespace paradise::exec {
 namespace {
@@ -675,6 +680,118 @@ TEST(TwoLayerTest, ThreadCountLeavesResultsAndChargesBitIdentical) {
       stats_1.parallel_tasks = stats.parallel_tasks;  // the one allowed delta
       EXPECT_EQ(stats, stats_1);
       EXPECT_GT(stats.parallel_tasks, 0);
+    }
+  }
+}
+
+/// One predeclustered two-layer join on a 4-node cluster at the table
+/// default grid (100 x 100 tiles, 2,500 owned per node, so each node runs
+/// thousands of class-pair mini-joins): the per-node result rows in
+/// order, every clock's total usage, and the merged join stats.
+struct DefaultGridRun {
+  std::vector<std::vector<std::pair<int64_t, int64_t>>> rows;
+  std::vector<sim::ResourceUsage> usage;  // nodes, then the coordinator
+  double seconds = 0.0;
+  PbsmJoinStats stats;
+  sim::FaultInjector::Stats faults;
+};
+
+DefaultGridRun RunDefaultGridTwoLayerJoin(int threads, bool faulted) {
+  constexpr int kNodes = 4;
+  core::Cluster::Options copts;
+  copts.buffer_pool_frames = 512;
+  core::Cluster cluster(kNodes, copts);
+  cluster.SetNumThreads(threads);
+  Rng rng(61);
+  const Box universe(-50, -50, 50, 50);
+  auto def = [&universe](const char* name) {
+    catalog::TableDef d;
+    d.name = name;
+    d.schema =
+        Schema({{"id", ValueType::kInt}, {"shape", ValueType::kPolygon}});
+    d.partitioning = catalog::PartitioningKind::kTwoLayer;
+    d.partition_column = 1;
+    d.universe = universe;
+    return d;
+  };
+  auto lt = core::ParallelTable::Load(&cluster, def("L"),
+                                      PolygonTuples(&rng, 1500, 48, 1.5));
+  auto rt = core::ParallelTable::Load(&cluster, def("R"),
+                                      PolygonTuples(&rng, 1500, 48, 1.5));
+  EXPECT_TRUE(lt.ok() && rt.ok());
+  EXPECT_EQ((*lt)->grid().tiles_per_axis(),
+            core::SpatialGrid::kDefaultTilesPerAxis);
+  // Torn and failed page reads during the scans (healed by verified
+  // retries) plus dropped and duplicated batches; wired after the load so
+  // fault ordinals start from the same state at any thread count.
+  sim::FaultInjector inj(/*seed=*/97);
+  inj.set_transient_read_rate(0.05);
+  inj.set_torn_read_rate(0.05);
+  inj.set_transfer_drop_rate(0.02);
+  inj.set_transfer_duplicate_rate(0.02);
+  if (faulted) cluster.SetFaultInjector(&inj);
+
+  core::QueryCoordinator coord(&cluster);
+  EXPECT_TRUE(coord.BeginQuery().ok());
+  auto lper = core::ParallelScanAll(&coord, **lt, nullptr);
+  auto rper = core::ParallelScanAll(&coord, **rt, nullptr);
+  EXPECT_TRUE(lper.ok() && rper.ok());
+  core::ParallelSpatialJoinOptions opts;
+  opts.two_layer = true;
+  opts.left_predeclustered = true;
+  opts.right_predeclustered = true;
+  opts.routing_grid = &(*lt)->grid();
+  opts.tiles_per_axis = (*lt)->grid().tiles_per_axis();
+  auto joined =
+      core::ParallelSpatialJoin(&coord, *lper, 1, *rper, 1, universe, opts);
+  EXPECT_TRUE(joined.ok()) << joined.status().ToString();
+  coord.EndQuery();
+  DefaultGridRun run;
+  for (const TupleVec& v : *joined) run.rows.push_back(OrderedKeys(v, 0, 2));
+  for (int n = 0; n < kNodes; ++n) {
+    run.usage.push_back(cluster.node(n).clock()->total_usage());
+  }
+  run.usage.push_back(cluster.coordinator_clock()->total_usage());
+  run.seconds = coord.query_seconds();
+  run.stats = coord.pbsm_stats();
+  run.stats.parallel_tasks = 0;  // the one field allowed to follow threads
+  run.faults = inj.stats();
+  cluster.SetFaultInjector(nullptr);
+  return run;
+}
+
+TEST(TwoLayerTest, DefaultGridBitIdenticalAcrossThreadsCleanAndFaulted) {
+  const DefaultGridRun clean1 = RunDefaultGridTwoLayerJoin(1, false);
+  size_t pairs = 0;
+  for (const auto& node_rows : clean1.rows) pairs += node_rows.size();
+  EXPECT_GT(pairs, 1000u);
+  EXPECT_EQ(clean1.stats.cells_per_axis,
+            core::SpatialGrid::kDefaultTilesPerAxis);
+  EXPECT_EQ(clean1.stats.dedup_tests, 0);
+  // More (tile, entry) items per side than tiles: the 2,500 tiles a node
+  // owns are densely populated, so each node sweeps thousands of lists.
+  EXPECT_GT(clean1.stats.left_items, 10000);
+  EXPECT_GT(clean1.stats.right_items, 10000);
+
+  for (bool faulted : {false, true}) {
+    const DefaultGridRun one =
+        faulted ? RunDefaultGridTwoLayerJoin(1, true) : clean1;
+    const DefaultGridRun eight = RunDefaultGridTwoLayerJoin(8, faulted);
+    SCOPED_TRACE(faulted ? "faulted" : "clean");
+    EXPECT_EQ(eight.rows, one.rows) << "result rows or their order moved";
+    ASSERT_EQ(eight.usage.size(), one.usage.size());
+    for (size_t i = 0; i < one.usage.size(); ++i) {
+      SCOPED_TRACE(i);
+      ExpectUsageEq(eight.usage[i], one.usage[i]);
+    }
+    EXPECT_EQ(eight.seconds, one.seconds);
+    EXPECT_EQ(eight.stats, one.stats);
+    if (faulted) {
+      EXPECT_GT(one.faults.torn_read_faults, 0);
+      EXPECT_GT(one.faults.transient_read_faults, 0);
+      // Faults cost modeled time, never rows.
+      EXPECT_EQ(one.rows, clean1.rows);
+      EXPECT_GT(one.seconds, clean1.seconds);
     }
   }
 }

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+
 #include "common/rng.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_volume.h"
@@ -308,6 +311,150 @@ TEST(LargeObjectTest, FreeReleasesPages) {
   uint32_t before = vol.allocated_pages();
   store.Free(*id);
   EXPECT_EQ(vol.allocated_pages(), before - id->num_pages);
+}
+
+// ---------- Page checksum ----------
+
+/// Bytes the checksum covers: the LSN and the payload, not the checksum
+/// word or its pad.
+bool Covered(size_t byte) {
+  return byte < Page::kChecksumOffset || byte >= Page::kHeaderSize;
+}
+
+Page RandomPage(uint64_t seed) {
+  Rng rng(seed);
+  Page page;
+  for (size_t i = 0; i < kPageSize; ++i) {
+    page.data()[i] = static_cast<uint8_t>(rng.Next());
+  }
+  return page;
+}
+
+/// Scalar model of the lane checksum, independent of the implementation's
+/// loop structure: word w of the page feeds lane w % 32, lanes start at
+/// SplitMix64 outputs, and the raw XOR fold is returned (before 0 -> 1).
+/// `lanes_before_last`, when given, receives each lane's state before the
+/// page's last row.
+uint32_t ModelFold(const Page& page, uint32_t* lanes_before_last = nullptr) {
+  constexpr size_t kLanes = 32;
+  constexpr size_t kWords = kPageSize / 4;
+  uint32_t sums[kLanes];
+  uint64_t x = 0x9e3779b97f4a7c15ull;
+  for (uint32_t& sum : sums) {
+    uint64_t z = (x += 0x9e3779b97f4a7c15ull);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    sum = static_cast<uint32_t>(z ^ (z >> 31));
+  }
+  for (size_t w = 0; w < kWords; ++w) {
+    if (w == kWords - kLanes && lanes_before_last != nullptr) {
+      std::copy(sums, sums + kLanes, lanes_before_last);
+    }
+    uint32_t word = 0;
+    if (Covered(w * 4)) std::memcpy(&word, page.data() + w * 4, 4);
+    uint32_t t = (sums[w % kLanes] ^ word) * 16777619u;
+    sums[w % kLanes] = t ^ (t >> 17);
+  }
+  uint32_t fold = 0;
+  for (uint32_t sum : sums) fold ^= sum;
+  return fold;
+}
+
+TEST(PageChecksumTest, MatchesScalarModel) {
+  for (uint64_t seed : {0u, 1u, 2u, 3u}) {
+    Page page = seed == 0 ? Page() : RandomPage(seed);
+    const uint32_t fold = ModelFold(page);
+    EXPECT_EQ(page.ComputeChecksum(), fold == 0 ? 1u : fold) << seed;
+  }
+}
+
+TEST(PageChecksumTest, EverySingleBitFlipIsDetected) {
+  // Zero, all-ones and random pages; every bit of the LSN and the payload.
+  Page ones;
+  std::memset(ones.data(), 0xff, kPageSize);
+  int64_t flips = 0, missed = 0;
+  for (Page page : {Page(), ones, RandomPage(42)}) {
+    page.StampChecksum();
+    ASSERT_TRUE(page.VerifyChecksum());
+    for (size_t byte = 0; byte < kPageSize; ++byte) {
+      if (!Covered(byte)) continue;
+      for (int bit = 0; bit < 8; ++bit) {
+        page.data()[byte] ^= static_cast<uint8_t>(1u << bit);
+        ++flips;
+        if (page.VerifyChecksum()) ++missed;
+        page.data()[byte] ^= static_cast<uint8_t>(1u << bit);
+      }
+    }
+    EXPECT_TRUE(page.VerifyChecksum());
+  }
+  EXPECT_EQ(flips, 3 * 8 * static_cast<int64_t>(kPageSize - 8));
+  EXPECT_EQ(missed, 0);
+}
+
+TEST(PageChecksumTest, ChecksumWordAndPadAreNotCovered) {
+  Page page = RandomPage(7);
+  const uint32_t sum = page.ComputeChecksum();
+  for (size_t byte = Page::kChecksumOffset; byte < Page::kHeaderSize;
+       ++byte) {
+    page.data()[byte] ^= 0x5a;
+    EXPECT_EQ(page.ComputeChecksum(), sum) << byte;
+  }
+  page.StampChecksum();
+  for (size_t byte = Page::kChecksumOffset + 4; byte < Page::kHeaderSize;
+       ++byte) {
+    page.data()[byte] ^= 0xa5;  // pad only: the stamp still verifies
+    EXPECT_TRUE(page.VerifyChecksum()) << byte;
+  }
+}
+
+TEST(PageChecksumTest, ComputedZeroMapsToOne) {
+  // Solve the page's last word so the raw fold is 0: the last word feeds
+  // lane 31's final step t = (s ^ w) * p, fold = rest ^ (t ^ (t >> 17)),
+  // and both the multiply and the xorshift invert.
+  Page page = RandomPage(11);
+  uint32_t lanes[32] = {};
+  const uint32_t fold = ModelFold(page, lanes);
+  uint32_t last;
+  std::memcpy(&last, page.data() + kPageSize - 4, 4);
+  const uint32_t rest = [&] {
+    uint32_t t = (lanes[31] ^ last) * 16777619u;
+    return fold ^ t ^ (t >> 17);
+  }();
+  uint32_t inv = 16777619u;  // Newton iteration for the inverse mod 2^32
+  for (int i = 0; i < 5; ++i) inv *= 2u - 16777619u * inv;
+  const uint32_t t = rest ^ (rest >> 17);
+  const uint32_t word = lanes[31] ^ (t * inv);
+  std::memcpy(page.data() + kPageSize - 4, &word, 4);
+  ASSERT_EQ(ModelFold(page), 0u);
+  EXPECT_EQ(page.ComputeChecksum(), 1u);
+  page.StampChecksum();
+  EXPECT_EQ(page.stored_checksum(), 1u);
+  EXPECT_TRUE(page.VerifyChecksum());
+  for (uint64_t seed = 100; seed < 200; ++seed) {
+    EXPECT_NE(RandomPage(seed).ComputeChecksum(), 0u);
+  }
+}
+
+TEST(PageChecksumTest, PayloadCorruptionUnderAnIntactStampIsDetected) {
+  // The torn-read fault also garbles the stamp; here only the payload is
+  // damaged, so the hash alone has to catch it.
+  sim::NodeClock clock;
+  DiskVolume vol(0, &clock);
+  PageNo p = vol.AllocatePage();
+  ASSERT_TRUE(vol.WritePage(p, RandomPage(5)).ok());
+  Page read;
+  ASSERT_TRUE(vol.ReadPage(p, &read).ok());
+  ASSERT_NE(read.stored_checksum(), 0u);
+  ASSERT_TRUE(read.VerifyChecksum());
+  for (size_t start : {Page::kHeaderSize, size_t{4096}, kPageSize - 64}) {
+    Page torn = read;
+    for (size_t i = start; i < start + 64; ++i) torn.data()[i] ^= 0xff;
+    EXPECT_EQ(torn.stored_checksum(), read.stored_checksum());
+    EXPECT_FALSE(torn.VerifyChecksum()) << start;
+  }
+  Page lsn = read;
+  lsn.set_lsn(read.lsn() + 1);
+  EXPECT_FALSE(lsn.VerifyChecksum());
 }
 
 }  // namespace
