@@ -131,16 +131,15 @@ void CopyTileRegion(const ArrayHandle& h,
   }
 }
 
-std::vector<uint32_t> TileCoordFromIndex(const ArrayHandle& h,
-                                         uint32_t tile_index) {
-  size_t ndims = h.dims.size();
-  std::vector<uint32_t> coord(ndims);
-  for (size_t i = ndims; i-- > 0;) {
+/// Fills `coord` (one entry per dimension) with tile `tile_index`'s
+/// position in the tile grid.
+void TileCoordFromIndex(const ArrayHandle& h, uint32_t tile_index,
+                        std::vector<uint32_t>* coord) {
+  for (size_t i = h.dims.size(); i-- > 0;) {
     uint32_t n = h.tiles_in_dim(i);
-    coord[i] = tile_index % n;
+    (*coord)[i] = tile_index % n;
     tile_index /= n;
   }
-  return coord;
 }
 
 }  // namespace
@@ -150,13 +149,11 @@ StatusOr<ByteBuffer> LocalTileSource::ReadTile(const ArrayHandle& handle,
   const TileRef& ref = handle.tiles[tile_index];
   PARADISE_ASSIGN_OR_RETURN(ByteBuffer stored, store_->Read(ref.lob));
   if (!ref.compressed) return stored;
-  PARADISE_ASSIGN_OR_RETURN(ByteBuffer raw, codec::LzwDecompress(stored));
+  PARADISE_ASSIGN_OR_RETURN(ByteBuffer raw,
+                            codec::LzwDecompress(stored, ref.raw_bytes));
   if (clock_ != nullptr) {
     clock_->ChargeCpu(sim::cpu_cost::kPerByteDecompressed *
                       static_cast<double>(raw.size()));
-  }
-  if (raw.size() != ref.raw_bytes) {
-    return Status::Corruption("tile decompressed to unexpected size");
   }
   return raw;
 }
@@ -196,20 +193,21 @@ StatusOr<ArrayHandle> StoreArrayWithPlacement(
   uint32_t ntiles = h.num_tiles();
   h.tiles.reserve(ntiles);
   size_t ndims = h.dims.size();
+  // Per-tile scratch, reused across the loop.
+  std::vector<uint32_t> coord(ndims), tlo(ndims);
+  const std::vector<uint32_t> zero(ndims, 0);
+  ByteBuffer tile;
   for (uint32_t t = 0; t < ntiles; ++t) {
-    std::vector<uint32_t> coord = TileCoordFromIndex(h, t);
+    TileCoordFromIndex(h, t, &coord);
     // Materialize the tile into a dense buffer.
-    std::vector<uint32_t> tlo(ndims), thi(ndims);
     uint64_t tile_elems = 1;
     for (size_t i = 0; i < ndims; ++i) {
       tlo[i] = coord[i] * h.tile_dims[i];
-      thi[i] = std::min(h.dims[i], tlo[i] + h.tile_dims[i]);
-      tile_elems *= thi[i] - tlo[i];
+      tile_elems *= std::min(h.dims[i], tlo[i] + h.tile_dims[i]) - tlo[i];
     }
-    ByteBuffer tile(tile_elems * elem_size);
+    tile.resize(tile_elems * elem_size);
     // The "region" is the whole array [0, dims); copy the tile's overlap
     // with it (i.e. the whole tile) out of the dense source buffer.
-    std::vector<uint32_t> zero(ndims, 0);
     CopyTileRegion(h, coord, zero, h.dims, tile.data(),
                    const_cast<uint8_t*>(data), /*to_region=*/false);
 
@@ -305,9 +303,10 @@ StatusOr<ByteBuffer> ReadRegion(const ArrayHandle& handle, TileSource* source,
 
   std::vector<uint32_t> tiles = TilesForRegion(handle, lo, hi);
   source->PrefetchTiles(handle, tiles);
+  std::vector<uint32_t> coord(ndims);
   for (uint32_t t : tiles) {
     PARADISE_ASSIGN_OR_RETURN(ByteBuffer tile, source->ReadTile(handle, t));
-    std::vector<uint32_t> coord = TileCoordFromIndex(handle, t);
+    TileCoordFromIndex(handle, t, &coord);
     CopyTileRegion(handle, coord, lo, hi, tile.data(), out.data(),
                    /*to_region=*/true);
   }

@@ -338,6 +338,7 @@ GlobalDataSet GenerateGlobalDataSet(const DataSetOptions& options) {
   Date start_date = Date::FromYmd(1986, 1, 6);
   std::vector<int64_t> channels = {2, 3, 4, 5};
   PARADISE_CHECK(options.num_channels <= static_cast<int>(channels.size()));
+  std::vector<double> lon(w), lon_term(w);  // per column, per raster
   for (int d = 0; d < options.num_dates; ++d) {
     Date date = start_date.AddDays(d * 10);  // ~10-day composites, 10 years
     for (int c = 0; c < options.num_channels; ++c) {
@@ -356,15 +357,19 @@ GlobalDataSet GenerateGlobalDataSet(const DataSetOptions& options) {
       uint32_t sx = w / options.base_raster_size;  // oversampling factors
       uint32_t sy = h / options.base_raster_size;
       double phase = 0.25 * d + 11.0 * c;
+      // v = 2000 + 1500 cos(3 lat pi) + 700 sin(4 lon pi + phase)
+      //     + 400 sin(9 (lat + lon) pi - phase), summed left to right;
+      // the per-row and per-column terms are computed once.
+      for (uint32_t cc = 0; cc < w; ++cc) {
+        lon[cc] = 2.0 * ((cc / sx) + 0.5) / options.base_raster_size - 1.0;
+        lon_term[cc] = 700.0 * std::sin(4.0 * lon[cc] * M_PI + phase);
+      }
       for (uint32_t r = 0; r < h; ++r) {
         double lat = 1.0 - 2.0 * ((r / sy) + 0.5) / options.base_raster_size;
+        double row_base = 2000.0 + 1500.0 * std::cos(3.0 * lat * M_PI);
         for (uint32_t cc = 0; cc < w; ++cc) {
-          double lon =
-              2.0 * ((cc / sx) + 0.5) / options.base_raster_size - 1.0;
-          double v = 2000.0 +
-                     1500.0 * std::cos(3.0 * lat * M_PI) +
-                     700.0 * std::sin(4.0 * lon * M_PI + phase) +
-                     400.0 * std::sin(9.0 * (lat + lon) * M_PI - phase);
+          double v = row_base + lon_term[cc] +
+                     400.0 * std::sin(9.0 * (lat + lon[cc]) * M_PI - phase);
           uint16_t q = static_cast<uint16_t>(std::clamp(v, 0.0, 65000.0));
           q &= static_cast<uint16_t>(~0x3f);  // 64-level quantization
           if (r % sy != 0 || cc % sx != 0) {
