@@ -154,19 +154,14 @@ int main(int argc, char** argv) {
     double blockhash_skew = 0.0, adaptive_skew = 0.0;
     struct MapCase {
       const char* name;
-      PbsmOptions::CellMap map;
+      const paradise::exec::AdaptiveCellGrid* grid;
     };
-    for (const MapCase& mc :
-         {MapCase{"modulo", PbsmOptions::CellMap::kModulo},
-          MapCase{"blockhash", PbsmOptions::CellMap::kBlockHash},
-          MapCase{"adaptive", PbsmOptions::CellMap::kAdaptive}}) {
+    for (const MapCase& mc : {MapCase{"blockhash", nullptr},
+                              MapCase{"adaptive", &tuned.grid}}) {
       PbsmOptions popts;
       popts.num_partitions = 64;
       popts.cells_per_axis = 32;
-      popts.cell_map = mc.map;
-      if (mc.map == PbsmOptions::CellMap::kAdaptive) {
-        popts.adaptive = &tuned.grid;
-      }
+      popts.adaptive = mc.grid;
       // Modeled seconds fold every partition's charge into one clock (the
       // total work); the *balance* payoff shows in the threaded wall
       // clock, whose critical path is the heaviest partition. Best of 3.
@@ -202,8 +197,11 @@ int main(int argc, char** argv) {
                         ? 0.0
                         : static_cast<double>(stats.max_partition_items) /
                               stats.mean_partition_items;
-      if (mc.map == PbsmOptions::CellMap::kBlockHash) blockhash_skew = skew;
-      if (mc.map == PbsmOptions::CellMap::kAdaptive) adaptive_skew = skew;
+      if (mc.grid == nullptr) {
+        blockhash_skew = skew;
+      } else {
+        adaptive_skew = skew;
+      }
       std::printf(
           "%12s %12lld %12.1f %10.2f %12.3f %12.4f %12.4f %10zu %12lld\n",
           mc.name, static_cast<long long>(stats.max_partition_items),
@@ -212,10 +210,9 @@ int main(int argc, char** argv) {
     }
     std::printf(
         "\nexpected shape: identical rows for every map; adaptive's "
-        "max/mean beats blockhash's %.2f by >=2x (%.2fx here) and cuts "
-        "modulo's modeled seconds severalfold; blockhash stays the total-"
-        "work floor because its scattered uniform cells replicate wide "
-        "corridors the least.\n",
+        "max/mean beats blockhash's %.2f by >=2x (%.2fx here); blockhash "
+        "stays the total-work floor because its scattered uniform cells "
+        "replicate wide corridors the least.\n",
         blockhash_skew,
         adaptive_skew == 0.0 ? 0.0 : blockhash_skew / adaptive_skew);
   }

@@ -369,8 +369,8 @@ StatusOr<PerNode> ParallelSpatialJoin(QueryCoordinator* coord,
   }
 
   // Adaptive mode: derive plan-time features from catalog stats, ask the
-  // advisor (or honor a forced decision), and build a tuned kAdaptive
-  // cell grid when stats exist. All inputs to these decisions are pure
+  // advisor (or honor a forced decision), and build a tuned cell grid
+  // when stats exist. All inputs to these decisions are pure
   // data (histograms, feedback store) — nothing here depends on thread
   // schedule.
   exec::PbsmOptions pbsm = opts.pbsm;
@@ -421,7 +421,6 @@ StatusOr<PerNode> ParallelSpatialJoin(QueryCoordinator* coord,
         if (tp.grid.Valid(tuner.num_partitions)) {
           tuned = std::move(tp.grid);
           tuned_skew = tp.predicted_skew;
-          pbsm.cell_map = exec::PbsmOptions::CellMap::kAdaptive;
           pbsm.adaptive = &tuned;
         }
       }

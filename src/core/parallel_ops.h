@@ -90,7 +90,7 @@ StatusOr<exec::TupleVec> Gather(QueryCoordinator* coord, const PerNode& input);
 struct AdaptiveJoinReport {
   opt::JoinFeatures features;
   opt::JoinDecision decision;
-  /// True when the partition tuner supplied a kAdaptive cell grid.
+  /// True when the partition tuner supplied a tuned cell grid.
   bool used_tuned_grid = false;
   /// The tuner's predicted max/mean partition load (0 when untuned).
   double predicted_skew = 0.0;
@@ -129,7 +129,7 @@ struct ParallelSpatialJoinOptions {
 
   /// Consult the cluster catalog's sampled statistics and the
   /// cost-feedback JoinAdvisor: pick PBSM vs index nested loops and the
-  /// grid per query, run a tuner-built kAdaptive cell map when stats
+  /// grid per query, run a tuner-built cell grid when stats
   /// exist, and record the observed outcome back into the advisor at the
   /// phase merge (a deterministic point — advice stays bit-identical at
   /// any PARADISE_THREADS).

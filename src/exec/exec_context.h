@@ -32,10 +32,10 @@ struct PbsmJoinStats {
   int64_t nonempty_partitions = 0;  // partitions with at least one item
   int64_t parallel_tasks = 0;     // partition sweeps run as pool tasks
 
-  // Sweep-kernel counters (summed over partitions, in partition order):
-  // pair compares the sweeps performed, MBR-overlapping candidates they
+  // Sweep-kernel counters (summed over sweep tasks, in task order): pair
+  // compares the sweeps performed, MBR-overlapping candidates they
   // emitted, and candidates that survived reference-point dedup into the
-  // exact-geometry pass. Identical for the SoA and AoS kernels.
+  // exact-geometry pass.
   int64_t sweep_pair_compares = 0;
   int64_t sweep_candidates = 0;
   int64_t exact_tests = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
@@ -28,17 +29,19 @@ uint64_t Mix64(uint64_t x) {
   return x;
 }
 
-/// Cells per block side for CellMap::kBlockHash. Small enough that one
+/// Cells per block side of the block-hash map. Small enough that one
 /// clustered query region still spans several blocks, large enough that
 /// the round-robin inside a block covers many partitions.
 constexpr size_t kCellBlock = 4;
 
-/// Cell→partition map. Must be a pure function of (cell, P) — the
-/// distribute phase and the reference-point duplicate-elimination rule
-/// both evaluate it and must agree.
-size_t PartitionOfCell(size_t cell, size_t cells_axis, size_t P,
-                       PbsmOptions::CellMap map) {
-  if (map == PbsmOptions::CellMap::kModulo) return cell % P;
+/// Block-hash cell→partition map of the uniform grid: cells are tiled into
+/// kCellBlock² blocks, each block's coordinates are mixed through Mix64,
+/// and the cells inside a block are assigned round-robin from the block's
+/// hash — adjacent cells hit distinct partitions and distant blocks are
+/// decorrelated, so a hot region spreads over all P. Must be a pure
+/// function of (cell, P): the distribute phase and the reference-point
+/// duplicate-elimination rule both evaluate it and must agree.
+size_t PartitionOfCell(size_t cell, size_t cells_axis, size_t P) {
   size_t cx = cell % cells_axis;
   size_t cy = cell / cells_axis;
   uint64_t block =
@@ -118,7 +121,7 @@ struct Grid {
   }
 };
 
-/// Non-uniform grid over tuned cell boundaries (CellMap::kAdaptive).
+/// Non-uniform grid over tuned cell boundaries (PbsmOptions::adaptive).
 /// Same contract as Grid — CellOf and CellRange agree, out-of-range and
 /// ±inf coordinates clamp to the edge cells (an empty box still yields an
 /// inverted, i.e. empty, cell range) — but cell lookup is a binary search
@@ -159,398 +162,6 @@ struct NonUniformGrid {
     *cy1 = CellY(byhi);
   }
 };
-
-/// One side's partition assignment in CSR form: `rows` holds tuple
-/// ordinals grouped by partition (replicas included), `offsets[p] ..
-/// offsets[p+1]` delimits partition p. Built by a stable counting sort
-/// over a side argsorted by (xlo, ordinal), so each partition's rows are
-/// already in sweep order.
-struct SideParts {
-  std::vector<uint32_t> rows;
-  std::vector<size_t> offsets;
-
-  size_t begin(size_t p) const { return offsets[p]; }
-  size_t count(size_t p) const { return offsets[p + 1] - offsets[p]; }
-};
-
-/// Per-thread sweep buffers, reused across the partitions a worker runs:
-/// every field is fully rewritten before use, so reuse affects only
-/// allocation traffic, never results or charges. Each sweep task binds
-/// `batch` to its own flush callback and flushes it after every sweep, so
-/// flush boundaries match a fresh batch per sweep.
-struct SweepScratch {
-  join_kernel::SweepSide ls, rs;
-  std::vector<join_kernel::AosItem> l_items, r_items;
-  std::vector<join_kernel::OrdinalPair> survivors;
-  join_kernel::CandidateBatch batch{join_kernel::kCandidateBatchSize};
-};
-thread_local SweepScratch t_sweep_scratch;
-
-/// The grid-parametric join body: everything after universe/grid setup.
-/// `GridT` is Grid (uniform) or NonUniformGrid (tuned boundaries); both
-/// expose the same CellOf/CellRange contract, so the distribute phase and
-/// the reference-point duplicate-elimination rule stay in agreement.
-/// `cells_axis_stat` is only reported in stats.
-template <typename GridT, typename PartFn>
-StatusOr<TupleVec> PbsmJoinBody(const TupleVec& left, size_t left_col,
-                                const TupleVec& right, size_t right_col,
-                                const ExecContext& ctx,
-                                const PbsmOptions& options,
-                                const join_kernel::MbrColumns& left_cols,
-                                const join_kernel::MbrColumns& right_cols,
-                                size_t P, size_t cells_axis_stat,
-                                const GridT& grid,
-                                const PartFn& partition_of_cell) {
-  TupleVec out;
-  // Each side's ordinals argsorted by (xlo, ordinal), once, globally. The
-  // distribute below walks rows in this order and its counting sort is
-  // stable, so every partition's row list comes out already in sweep
-  // order — the per-partition sorts the sweep would otherwise run are
-  // replaced by two sorts of the whole side. The modeled sort charge is
-  // unchanged: it is computed per partition from the partition sizes, not
-  // from how the host happens to sort.
-  const std::vector<uint32_t> left_order =
-      join_kernel::ArgsortByXlo(left_cols);
-  const std::vector<uint32_t> right_order =
-      join_kernel::ArgsortByXlo(right_cols);
-
-  // Phase 1: replicate each tuple's ordinal into every partition whose
-  // cells its MBR overlaps, in CSR form (counting sort — no per-partition
-  // vector growth). Runs on the calling thread; the per-tuple overhead is
-  // replayed as one batched charge, identical to the per-tuple sequence
-  // because kTupleOverhead is integer-valued. The duplicate guard is an
-  // epoch-stamped array: bumping the epoch retires every stamp at once,
-  // instead of an O(P) refill per tuple — and only runs for the rare MBR
-  // spanning more than one cell; a single-cell MBR maps to exactly one
-  // partition.
-  auto distribute = [&](const join_kernel::MbrColumns& cols,
-                        const std::vector<uint32_t>& order,
-                        SideParts* parts) {
-    const size_t n = cols.size();
-    ctx.ChargeCpuOps(static_cast<int64_t>(n), sim::cpu_cost::kTupleOverhead);
-    std::vector<uint32_t> entry_part, entry_row;
-    entry_part.reserve(n + n / 4);
-    entry_row.reserve(n + n / 4);
-    std::vector<size_t> counts(P, 0);
-    std::vector<uint32_t> seen_epoch(P, 0);
-    uint32_t epoch = 0;
-    for (size_t r = 0; r < n; ++r) {
-      const uint32_t i = order[r];
-      size_t cx0, cy0, cx1, cy1;
-      grid.CellRange(cols.xlo[i], cols.ylo[i], cols.xhi[i], cols.yhi[i],
-                     &cx0, &cy0, &cx1, &cy1);
-      if (cx0 == cx1 && cy0 == cy1) {
-        size_t p = partition_of_cell(cy0 * grid.cells_x + cx0);
-        entry_part.push_back(static_cast<uint32_t>(p));
-        entry_row.push_back(i);
-        ++counts[p];
-        continue;
-      }
-      ++epoch;
-      for (size_t cy = cy0; cy <= cy1; ++cy) {
-        for (size_t cx = cx0; cx <= cx1; ++cx) {
-          size_t p = partition_of_cell(cy * grid.cells_x + cx);
-          if (seen_epoch[p] != epoch) {
-            seen_epoch[p] = epoch;
-            entry_part.push_back(static_cast<uint32_t>(p));
-            entry_row.push_back(i);
-            ++counts[p];
-          }
-        }
-      }
-    }
-    parts->offsets.assign(P + 1, 0);
-    for (size_t p = 0; p < P; ++p) {
-      parts->offsets[p + 1] = parts->offsets[p] + counts[p];
-    }
-    parts->rows.resize(entry_row.size());
-    std::vector<size_t> cursor(parts->offsets.begin(),
-                               parts->offsets.end() - 1);
-    for (size_t e = 0; e < entry_row.size(); ++e) {
-      parts->rows[cursor[entry_part[e]]++] = entry_row[e];
-    }
-  };
-  SideParts left_parts, right_parts;
-  distribute(left_cols, left_order, &left_parts);
-  distribute(right_cols, right_order, &right_parts);
-
-  if (ctx.pbsm_stats != nullptr) {
-    PbsmJoinStats& st = *ctx.pbsm_stats;
-    st.partitions = P;
-    st.cells_per_axis = cells_axis_stat;
-    st.left_tuples = static_cast<int64_t>(left.size());
-    st.right_tuples = static_cast<int64_t>(right.size());
-    st.left_items = st.right_items = st.max_partition_items = 0;
-    st.mean_partition_items = 0.0;
-    st.nonempty_partitions = 0;
-    st.parallel_tasks = 0;
-    size_t nonempty = 0;
-    for (size_t p = 0; p < P; ++p) {
-      int64_t l = static_cast<int64_t>(left_parts.count(p));
-      int64_t r = static_cast<int64_t>(right_parts.count(p));
-      st.left_items += l;
-      st.right_items += r;
-      st.max_partition_items = std::max(st.max_partition_items, l + r);
-      if (l + r > 0) ++nonempty;
-    }
-    st.nonempty_partitions = static_cast<int64_t>(nonempty);
-    if (nonempty > 0) {
-      st.mean_partition_items =
-          static_cast<double>(st.left_items + st.right_items) /
-          static_cast<double>(nonempty);
-    }
-    st.replicated_entry_bytes =
-        (st.left_items - st.left_tuples + st.right_items - st.right_tuples) *
-        static_cast<int64_t>(4 * sizeof(double) + sizeof(uint32_t));
-  }
-
-  // Phase 2: per partition, forward plane sweep on xmin for candidate
-  // pairs — through the SoA kernel by default, the AoS layout for
-  // ablation. Partition-to-threads: every partition is one task with its
-  // own clock and output vector, merged in partition order after the
-  // barrier — so the charge totals and the result order depend only on
-  // the partition decomposition, never on which thread ran which
-  // partition when. Within a task the charge sequence is: sort, then the
-  // exact-test charges batch by batch as candidates flush, then the
-  // sweep's pair compares as one batched charge — a fixed sequence whose
-  // total equals the old interleaved per-encounter charging (all
-  // per-item constants are integer-valued).
-  struct PartitionTask {
-    Status status = Status::OK();
-    TupleVec out;
-    sim::ResourceUsage usage;
-    int64_t compares = 0;
-    int64_t candidates = 0;
-    int64_t exact_tests = 0;
-    int64_t dedup_dropped = 0;
-  };
-  std::vector<PartitionTask> tasks(P);
-  const bool use_soa =
-      options.sweep_kernel == PbsmOptions::SweepKernel::kSoa;
-  auto sweep_partition = [&](size_t p) {
-    PartitionTask& task = tasks[p];
-    const size_t ln = left_parts.count(p);
-    const size_t rn = right_parts.count(p);
-    if (ln == 0 || rn == 0) return;
-    sim::NodeClock task_clock;
-    ExecContext task_ctx = TaskContext(ctx, &task_clock);
-    const double sort_charge =
-        (static_cast<double>(ln) * std::log2(static_cast<double>(ln) + 1) +
-         static_cast<double>(rn) * std::log2(static_cast<double>(rn) + 1)) *
-        sim::cpu_cost::kCompare;
-
-    // Shared flush: reference-point duplicate elimination over a batch of
-    // MBR-overlapping candidates, then the batched exact-geometry pass.
-    // The accessors map a sweep position to that side's MBR lower-left
-    // corner and source ordinal, so both kernels share one code path.
-    SweepScratch& scratch = t_sweep_scratch;
-    std::vector<join_kernel::OrdinalPair>& survivors = scratch.survivors;
-    join_kernel::CandidateBatch& batch = scratch.batch;
-    auto make_flush = [&](auto lxlo_at, auto lylo_at, auto lord_at,
-                          auto rxlo_at, auto rylo_at, auto rord_at) {
-      return [&, lxlo_at, lylo_at, lord_at, rxlo_at, rylo_at,
-              rord_at](const join_kernel::Candidate* cands, size_t n) {
-        task.candidates += static_cast<int64_t>(n);
-        survivors.clear();
-        for (size_t t = 0; t < n; ++t) {
-          const uint32_t lp = cands[t].left_pos;
-          const uint32_t rp = cands[t].right_pos;
-          // Only the partition owning the cell that contains the
-          // intersection's lower-left corner reports the pair.
-          double rx = std::max(lxlo_at(lp), rxlo_at(rp));
-          double ry = std::max(lylo_at(lp), rylo_at(rp));
-          if (partition_of_cell(grid.CellOf(rx, ry)) != p) continue;
-          survivors.push_back({lord_at(lp), rord_at(rp)});
-        }
-        task.dedup_dropped +=
-            static_cast<int64_t>(n) - static_cast<int64_t>(survivors.size());
-        task.exact_tests += static_cast<int64_t>(survivors.size());
-        if (!task.status.ok() || survivors.empty()) return;
-        task.status = join_kernel::ExactJoinBatch(
-            left, left_col, right, right_col, survivors.data(),
-            survivors.size(), task_ctx, &task.out);
-      };
-    };
-
-    if (use_soa) {
-      join_kernel::SweepSide& ls = scratch.ls;
-      join_kernel::SweepSide& rs = scratch.rs;
-      ls.GatherPresorted(left_cols, &left_parts.rows[left_parts.begin(p)],
-                         ln);
-      rs.GatherPresorted(right_cols, &right_parts.rows[right_parts.begin(p)],
-                         rn);
-      task_ctx.ChargeCpu(sort_charge);
-      batch.set_flush(
-          make_flush([&](uint32_t i) { return ls.xlo()[i]; },
-                     [&](uint32_t i) { return ls.ylo()[i]; },
-                     [&](uint32_t i) { return ls.ordinal(i); },
-                     [&](uint32_t i) { return rs.xlo()[i]; },
-                     [&](uint32_t i) { return rs.ylo()[i]; },
-                     [&](uint32_t i) { return rs.ordinal(i); }));
-      task.compares = join_kernel::SweepForCandidates(ls, rs, &batch);
-      batch.Flush();
-    } else {
-      auto gather_aos = [](const join_kernel::MbrColumns& cols,
-                           const uint32_t* rows, size_t n,
-                           std::vector<join_kernel::AosItem>* items) {
-        items->resize(n);
-        for (size_t i = 0; i < n; ++i) {
-          (*items)[i] = {cols.BoxAt(rows[i]), rows[i]};
-        }
-        join_kernel::SortAosByXmin(items);
-      };
-      std::vector<join_kernel::AosItem>& L = scratch.l_items;
-      std::vector<join_kernel::AosItem>& R = scratch.r_items;
-      gather_aos(left_cols, &left_parts.rows[left_parts.begin(p)], ln, &L);
-      gather_aos(right_cols, &right_parts.rows[right_parts.begin(p)], rn, &R);
-      task_ctx.ChargeCpu(sort_charge);
-      batch.set_flush(
-          make_flush([&](uint32_t i) { return L[i].box.xmin; },
-                     [&](uint32_t i) { return L[i].box.ymin; },
-                     [&](uint32_t i) { return L[i].ordinal; },
-                     [&](uint32_t i) { return R[i].box.xmin; },
-                     [&](uint32_t i) { return R[i].box.ymin; },
-                     [&](uint32_t i) { return R[i].ordinal; }));
-      task.compares = join_kernel::SweepForCandidatesAos(L, R, &batch);
-      batch.Flush();
-    }
-    task_ctx.ChargeCpuOps(task.compares, sim::cpu_cost::kCompare);
-    task.usage = task_clock.EndPhase();
-  };
-  const bool pooled = ctx.pool != nullptr && ctx.pool->num_threads() > 1;
-  ForEachTask(ctx.pool, P, sweep_partition);
-
-  // Deterministic merge, in partition order: first failure wins, charges
-  // fold into the node clock in one fixed sequence, outputs concatenate.
-  int64_t ran = 0;
-  for (size_t p = 0; p < P; ++p) {
-    PARADISE_RETURN_IF_ERROR(std::move(tasks[p].status));
-  }
-  for (size_t p = 0; p < P; ++p) {
-    PartitionTask& task = tasks[p];
-    if (left_parts.count(p) > 0 && right_parts.count(p) > 0) ++ran;
-    ctx.ChargeUsage(task.usage);
-    if (ctx.pbsm_stats != nullptr) {
-      ctx.pbsm_stats->sweep_pair_compares += task.compares;
-      ctx.pbsm_stats->sweep_candidates += task.candidates;
-      ctx.pbsm_stats->exact_tests += task.exact_tests;
-      // Every candidate runs the reference-point test in this mode.
-      ctx.pbsm_stats->dedup_tests += task.candidates;
-      ctx.pbsm_stats->dedup_dropped += task.dedup_dropped;
-    }
-    for (Tuple& t : task.out) out.push_back(std::move(t));
-  }
-  if (ctx.pbsm_stats != nullptr) {
-    ctx.pbsm_stats->parallel_tasks = pooled ? ran : 0;
-  }
-  return out;
-}
-
-}  // namespace
-
-bool AdaptiveCellGrid::Valid(size_t num_partitions) const {
-  if (x_edges.size() < 2 || y_edges.size() < 2) return false;
-  for (size_t i = 1; i < x_edges.size(); ++i) {
-    if (!(x_edges[i] > x_edges[i - 1])) return false;
-  }
-  for (size_t i = 1; i < y_edges.size(); ++i) {
-    if (!(y_edges[i] > y_edges[i - 1])) return false;
-  }
-  if (cell_part.size() != cells_x() * cells_y()) return false;
-  for (uint32_t p : cell_part) {
-    if (p >= num_partitions) return false;
-  }
-  return true;
-}
-
-StatusOr<TupleVec> PbsmSpatialJoin(const TupleVec& left, size_t left_col,
-                                   const TupleVec& right, size_t right_col,
-                                   const ExecContext& ctx,
-                                   const PbsmOptions& options) {
-  // Reset the stats sink up front: a sink reused across queries must
-  // describe *this* join, even when an empty input short-circuits below —
-  // otherwise the previous query's partition/replication stats leak into
-  // this one's report.
-  if (ctx.pbsm_stats != nullptr) ctx.pbsm_stats->Clear();
-
-  TupleVec out;
-  if (left.empty() || right.empty()) return out;
-
-  // Universe = union of both inputs' extents. The same pass gathers every
-  // tuple's MBR into column-major buffers (exec/join_kernel.h), so
-  // `Tuple::at(col).Mbr()` runs once per tuple here and never again inside
-  // the hot phases.
-  join_kernel::MbrColumns left_cols, right_cols;
-  Box universe;
-  auto gather_mbrs = [&universe](const TupleVec& tuples, size_t col,
-                                 join_kernel::MbrColumns* cols) {
-    const size_t n = tuples.size();
-    cols->Resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      // The tuple array is walked in order but each tuple's values live
-      // behind a heap pointer the hardware prefetcher can't follow; stage
-      // the next few rows' value arrays in ahead of the Mbr() call.
-      if (i + 8 < n) __builtin_prefetch(tuples[i + 8].values.data());
-      Box b = tuples[i].at(col).Mbr();
-      cols->Set(i, b);
-      universe.ExpandToInclude(b);
-    }
-  };
-  gather_mbrs(left, left_col, &left_cols);
-  gather_mbrs(right, right_col, &right_cols);
-  if (universe.Width() <= 0 || universe.Height() <= 0) {
-    universe = universe.Inflate(1.0);
-  }
-
-  const size_t P = std::max<size_t>(1, options.num_partitions);
-
-  if (options.cell_map == PbsmOptions::CellMap::kAdaptive) {
-    const AdaptiveCellGrid* tuned = options.adaptive;
-    if (tuned == nullptr || !tuned->Valid(P)) {
-      return Status::InvalidArgument(
-          "PbsmSpatialJoin: CellMap::kAdaptive needs a valid "
-          "PbsmOptions::adaptive grid");
-    }
-    NonUniformGrid grid(*tuned);
-    auto partition_of_cell = [tuned](size_t c) -> size_t {
-      return tuned->cell_part[c];
-    };
-    return PbsmJoinBody(left, left_col, right, right_col, ctx, options,
-                        left_cols, right_cols, P,
-                        std::max(grid.cells_x, grid.cells_y), grid,
-                        partition_of_cell);
-  }
-
-  size_t cells_axis = options.cells_per_axis;
-  if (cells_axis == 0) {
-    cells_axis = std::max<size_t>(
-        1, static_cast<size_t>(std::ceil(std::sqrt(16.0 * P))));
-  }
-  Grid grid(universe, cells_axis, cells_axis);
-  // Small grids get the cell->partition map precomputed: the distribute
-  // loop and the reference-point filter call it per cell visit, and a
-  // table lookup beats re-running the block hash every time. Same pure
-  // function either way.
-  std::vector<uint32_t> cell_part;
-  if (cells_axis * cells_axis <= (1u << 16)) {
-    cell_part.resize(cells_axis * cells_axis);
-    for (size_t c = 0; c < cell_part.size(); ++c) {
-      cell_part[c] =
-          static_cast<uint32_t>(PartitionOfCell(c, cells_axis, P,
-                                                options.cell_map));
-    }
-  }
-  auto partition_of_cell = [&cell_part, cells_axis, P,
-                            map = options.cell_map](size_t c) -> size_t {
-    if (!cell_part.empty()) return cell_part[c];
-    return PartitionOfCell(c, cells_axis, P, map);
-  };
-  return PbsmJoinBody(left, left_col, right, right_col, ctx, options,
-                      left_cols, right_cols, P, cells_axis, grid,
-                      partition_of_cell);
-}
-
-namespace {
 
 /// Uniform tile grid with core::SpatialGrid's exact arithmetic: tiles are
 /// numbered row-major from the upper-left corner and rows grow *downward*
@@ -605,7 +216,457 @@ constexpr struct {
     {TileClass::kD, TileClass::kA}, {TileClass::kB, TileClass::kC},
     {TileClass::kC, TileClass::kB}};
 
+/// One side's bucket assignment in CSR form: `rows` holds tuple ordinals
+/// grouped by bucket (replicas included), `offsets[k] .. offsets[k+1]`
+/// delimits bucket k.
+struct SideParts {
+  std::vector<uint32_t> rows;
+  std::vector<size_t> offsets;
+
+  size_t begin(size_t k) const { return offsets[k]; }
+  size_t count(size_t k) const { return offsets[k + 1] - offsets[k]; }
+};
+
+/// Per-thread sweep buffers, reused across the tasks a worker runs: every
+/// field is fully rewritten before use, so reuse affects only allocation
+/// traffic, never results or charges. Each sweep task binds `batch` to its
+/// own flush callback and flushes it after every sweep, so flush
+/// boundaries match a fresh batch per sweep.
+struct SweepScratch {
+  join_kernel::SweepSide ls, rs;
+  std::vector<join_kernel::OrdinalPair> survivors;
+  join_kernel::CandidateBatch batch{join_kernel::kCandidateBatchSize};
+};
+thread_local SweepScratch t_sweep_scratch;
+
+/// One sweep task's outcome, merged in task order after the barrier.
+struct SweepTask {
+  Status status = Status::OK();
+  TupleVec out;
+  sim::ResourceUsage usage;
+  int64_t compares = 0;
+  int64_t candidates = 0;
+  int64_t exact_tests = 0;
+  int64_t dedup_tests = 0;
+  int64_t dedup_dropped = 0;
+  bool ran = false;  // counts toward PbsmJoinStats::parallel_tasks
+};
+
+/// The partitioned spatial join shared by PBSM and the two-layer plan: the
+/// partition → sweep → refine pipeline of "Parallel In-Memory Evaluation
+/// of Spatial Joins" and "Two-layer Space-oriented Partitioning for
+/// Non-point Data". A plan supplies the bucket keys, the task
+/// decomposition, the sweeps each task runs, and its flush filter; the
+/// driver runs the steps in order: GatherMbrs, Distribute, RecordShape,
+/// SweepTasks.
+class PartitionedJoin {
+ public:
+  PartitionedJoin(const TupleVec& left, size_t left_col, const TupleVec& right,
+                  size_t right_col, const ExecContext& ctx)
+      : left_(left),
+        right_(right),
+        left_col_(left_col),
+        right_col_(right_col),
+        ctx_(ctx) {}
+  // Sweep tasks and their flush callbacks hold its address.
+  PartitionedJoin(const PartitionedJoin&) = delete;
+  PartitionedJoin& operator=(const PartitionedJoin&) = delete;
+
+  /// Gathers every tuple's MBR into column-major buffers
+  /// (exec/join_kernel.h), so `Tuple::at(col).Mbr()` runs once per tuple
+  /// here and never again inside the hot phases. Returns `universe`, or
+  /// the union of both sides' MBRs when it is empty; a degenerate universe
+  /// is inflated.
+  Box GatherMbrs(Box universe) {
+    const bool auto_universe = universe.IsEmpty();
+    auto gather = [&](const TupleVec& tuples, size_t col,
+                      join_kernel::MbrColumns* cols) {
+      const size_t n = tuples.size();
+      cols->Resize(n);
+      for (size_t i = 0; i < n; ++i) {
+        // The tuple array is walked in order but each tuple's values live
+        // behind a heap pointer the hardware prefetcher can't follow; stage
+        // the next few rows' value arrays in ahead of the Mbr() call.
+        if (i + 8 < n) __builtin_prefetch(tuples[i + 8].values.data());
+        Box b = tuples[i].at(col).Mbr();
+        cols->Set(i, b);
+        if (auto_universe) universe.ExpandToInclude(b);
+      }
+    };
+    gather(left_, left_col_, &left_cols_);
+    gather(right_, right_col_, &right_cols_);
+    if (universe.Width() <= 0 || universe.Height() <= 0) {
+      universe = universe.Inflate(1.0);
+    }
+    return universe;
+  }
+
+  /// Replicates each side's row ordinals into CSR buckets:
+  /// `emit(cols, i, push)` calls `push(key)` once for every bucket row i
+  /// goes to, with keys below `num_buckets` and none twice. Each side is
+  /// walked in (xlo, ordinal) order, argsorted once globally, and the
+  /// counting sort is stable, so every bucket's rows come out already in
+  /// sweep order: two sorts of the whole side replace the per-bucket sorts
+  /// the sweeps would otherwise run. The modeled sort charge is computed
+  /// from bucket sizes (TaskSweeper::BeginUnit), not from how the host
+  /// sorts. The per-tuple overhead is one batched charge per side,
+  /// identical to the per-tuple sequence because kTupleOverhead is
+  /// integer-valued.
+  template <typename EmitFn>
+  void Distribute(size_t num_buckets, EmitFn& emit) {
+    left_order_ = join_kernel::ArgsortByXlo(left_cols_);
+    right_order_ = join_kernel::ArgsortByXlo(right_cols_);
+    DistributeSide(left_cols_, left_order_, num_buckets, emit, &left_parts_);
+    DistributeSide(right_cols_, right_order_, num_buckets, emit,
+                   &right_parts_);
+  }
+
+  const SideParts& left_parts() const { return left_parts_; }
+  const SideParts& right_parts() const { return right_parts_; }
+
+  /// Records the join's shape in `ctx.pbsm_stats`, when set: one partition
+  /// per task, `task_loads[t]` = task t's left + right entries.
+  void RecordShape(size_t cells_per_axis,
+                   const std::vector<int64_t>& task_loads) const {
+    if (ctx_.pbsm_stats == nullptr) return;
+    PbsmJoinStats& st = *ctx_.pbsm_stats;
+    st.partitions = task_loads.size();
+    st.cells_per_axis = cells_per_axis;
+    st.left_tuples = static_cast<int64_t>(left_.size());
+    st.right_tuples = static_cast<int64_t>(right_.size());
+    st.left_items = static_cast<int64_t>(left_parts_.rows.size());
+    st.right_items = static_cast<int64_t>(right_parts_.rows.size());
+    for (int64_t load : task_loads) {
+      st.max_partition_items = std::max(st.max_partition_items, load);
+      if (load > 0) ++st.nonempty_partitions;
+    }
+    if (st.nonempty_partitions > 0) {
+      st.mean_partition_items =
+          static_cast<double>(st.left_items + st.right_items) /
+          static_cast<double>(st.nonempty_partitions);
+    }
+    st.replicated_entry_bytes =
+        (st.left_items - st.left_tuples + st.right_items - st.right_tuples) *
+        static_cast<int64_t>(4 * sizeof(double) + sizeof(uint32_t));
+  }
+
+  /// What a sweep task's body drives: units of buckets sorted and swept
+  /// together (a PBSM partition, a two-layer tile), and bucket-pair sweeps
+  /// within them. Charges land on the task's clock in a fixed sequence:
+  /// each unit's sort, then its exact tests batch by batch as candidates
+  /// flush; the task's pair compares follow as one batched charge.
+  class TaskSweeper {
+   public:
+    TaskSweeper(const PartitionedJoin& join, const ExecContext& task_ctx,
+                SweepScratch& scratch, SweepTask* task)
+        : join_(join), task_ctx_(task_ctx), scratch_(scratch), task_(task) {}
+
+    /// Starts the unit of buckets [first, first + count). If both sides
+    /// have entries there, charges the unit's sort — n·log2(n+1) compares
+    /// per non-empty list, left before right, bucket by bucket — and
+    /// returns true; otherwise it charges nothing and returns false.
+    bool BeginUnit(size_t first, size_t count) const {
+      const SideParts& lp = join_.left_parts_;
+      const SideParts& rp = join_.right_parts_;
+      size_t l_total = 0, r_total = 0;
+      for (size_t k = first; k < first + count; ++k) {
+        l_total += lp.count(k);
+        r_total += rp.count(k);
+      }
+      if (l_total == 0 || r_total == 0) return false;
+      double sort_charge = 0.0;
+      for (size_t k = first; k < first + count; ++k) {
+        for (const SideParts* side : {&lp, &rp}) {
+          const double n = static_cast<double>(side->count(k));
+          if (n > 0) sort_charge += n * std::log2(n + 1);
+        }
+      }
+      task_ctx_.ChargeCpu(sort_charge * sim::cpu_cost::kCompare);
+      return true;
+    }
+
+    /// Sweeps bucket `lk`'s left list against bucket `rk`'s right list and
+    /// flushes the candidates.
+    void Sweep(size_t lk, size_t rk) const {
+      const SideParts& lp = join_.left_parts_;
+      const SideParts& rp = join_.right_parts_;
+      const size_t ln = lp.count(lk);
+      const size_t rn = rp.count(rk);
+      if (ln == 0 || rn == 0) return;
+      scratch_.ls.GatherPresorted(join_.left_cols_, &lp.rows[lp.begin(lk)],
+                                  ln);
+      scratch_.rs.GatherPresorted(join_.right_cols_, &rp.rows[rp.begin(rk)],
+                                  rn);
+      task_->compares += join_kernel::SweepForCandidates(
+          scratch_.ls, scratch_.rs, &scratch_.batch);
+      scratch_.batch.Flush();
+    }
+
+   private:
+    const PartitionedJoin& join_;
+    const ExecContext& task_ctx_;
+    SweepScratch& scratch_;
+    SweepTask* task_;
+  };
+
+  /// Runs `num_tasks` sweep tasks — on the pool when it has workers
+  /// (partition-to-threads), each on a task-local clock and output — and
+  /// merges them. `run_task(t, sweeper)` drives task t's sweeps and returns
+  /// whether the task counts as run. Each flushed batch passes through the
+  /// reference-point filter `make_filter(t)`, a `keep(rx, ry)` test on the
+  /// intersection's lower-left corner, unless make_filter returns nullptr;
+  /// survivors go to the exact-geometry pass. The merge runs in task
+  /// order: the first failure wins, charges fold into the node clock in
+  /// one fixed sequence, counters sum, outputs concatenate — so results,
+  /// charges and counters depend only on the task decomposition, never on
+  /// which thread ran which task when.
+  template <typename MakeFilter, typename TaskFn>
+  StatusOr<TupleVec> SweepTasks(size_t num_tasks, const MakeFilter& make_filter,
+                                const TaskFn& run_task) const {
+    std::vector<SweepTask> tasks(num_tasks);
+    ForEachTask(ctx_.pool, num_tasks, [&](size_t t) {
+      SweepTask& task = tasks[t];
+      sim::NodeClock task_clock;
+      const ExecContext task_ctx = TaskContext(ctx_, &task_clock);
+      SweepScratch& scratch = t_sweep_scratch;
+      scratch.batch.set_flush(
+          MakeFlush(make_filter(t), task_ctx, scratch, &task));
+      task.ran = run_task(t, TaskSweeper(*this, task_ctx, scratch, &task));
+      task_ctx.ChargeCpuOps(task.compares, sim::cpu_cost::kCompare);
+      task.usage = task_clock.EndPhase();
+    });
+
+    for (SweepTask& task : tasks) {
+      PARADISE_RETURN_IF_ERROR(std::move(task.status));
+    }
+    TupleVec out;
+    int64_t ran = 0;
+    PbsmJoinStats* st = ctx_.pbsm_stats;
+    for (SweepTask& task : tasks) {
+      if (task.ran) ++ran;
+      ctx_.ChargeUsage(task.usage);
+      if (st != nullptr) {
+        st->sweep_pair_compares += task.compares;
+        st->sweep_candidates += task.candidates;
+        st->exact_tests += task.exact_tests;
+        st->dedup_tests += task.dedup_tests;
+        st->dedup_dropped += task.dedup_dropped;
+      }
+      for (Tuple& t : task.out) out.push_back(std::move(t));
+    }
+    if (st != nullptr) {
+      const bool pooled = ctx_.pool != nullptr && ctx_.pool->num_threads() > 1;
+      st->parallel_tasks = pooled ? ran : 0;
+    }
+    return out;
+  }
+
+ private:
+  template <typename EmitFn>
+  void DistributeSide(const join_kernel::MbrColumns& cols,
+                      const std::vector<uint32_t>& order, size_t num_buckets,
+                      EmitFn& emit, SideParts* parts) const {
+    const size_t n = cols.size();
+    ctx_.ChargeCpuOps(static_cast<int64_t>(n), sim::cpu_cost::kTupleOverhead);
+    std::vector<uint32_t> entry_key, entry_row;
+    entry_key.reserve(n + n / 4);
+    entry_row.reserve(n + n / 4);
+    std::vector<size_t> counts(num_buckets, 0);
+    for (const uint32_t i : order) {
+      emit(cols, i, [&](size_t key) {
+        entry_key.push_back(static_cast<uint32_t>(key));
+        entry_row.push_back(i);
+        ++counts[key];
+      });
+    }
+    parts->offsets.assign(num_buckets + 1, 0);
+    for (size_t k = 0; k < num_buckets; ++k) {
+      parts->offsets[k + 1] = parts->offsets[k] + counts[k];
+    }
+    parts->rows.resize(entry_row.size());
+    std::vector<size_t> cursor(parts->offsets.begin(),
+                               parts->offsets.end() - 1);
+    for (size_t e = 0; e < entry_row.size(); ++e) {
+      parts->rows[cursor[entry_key[e]]++] = entry_row[e];
+    }
+  }
+
+  /// The task's flush: the filter (if any), then the batched exact pass.
+  template <typename Filter>
+  join_kernel::CandidateBatch::FlushFn MakeFlush(Filter keep,
+                                                 const ExecContext& task_ctx,
+                                                 SweepScratch& scratch,
+                                                 SweepTask* task) const {
+    return [this, keep, &task_ctx, &scratch, task](
+               const join_kernel::Candidate* cands, size_t n) {
+      constexpr bool kFiltered = !std::is_null_pointer_v<Filter>;
+      const join_kernel::SweepSide& ls = scratch.ls;
+      const join_kernel::SweepSide& rs = scratch.rs;
+      std::vector<join_kernel::OrdinalPair>& survivors = scratch.survivors;
+      task->candidates += static_cast<int64_t>(n);
+      survivors.clear();
+      for (size_t t = 0; t < n; ++t) {
+        const uint32_t lp = cands[t].left_pos;
+        const uint32_t rp = cands[t].right_pos;
+        if constexpr (kFiltered) {
+          if (!keep(std::max(ls.xlo()[lp], rs.xlo()[rp]),
+                    std::max(ls.ylo()[lp], rs.ylo()[rp]))) {
+            continue;
+          }
+        }
+        survivors.push_back({ls.ordinal(lp), rs.ordinal(rp)});
+      }
+      if constexpr (kFiltered) {
+        task->dedup_tests += static_cast<int64_t>(n);
+        task->dedup_dropped +=
+            static_cast<int64_t>(n) - static_cast<int64_t>(survivors.size());
+      }
+      task->exact_tests += static_cast<int64_t>(survivors.size());
+      if (!task->status.ok() || survivors.empty()) return;
+      task->status = join_kernel::ExactJoinBatch(
+          left_, left_col_, right_, right_col_, survivors.data(),
+          survivors.size(), task_ctx, &task->out);
+    };
+  }
+
+  const TupleVec& left_;
+  const TupleVec& right_;
+  size_t left_col_, right_col_;
+  const ExecContext& ctx_;
+  join_kernel::MbrColumns left_cols_, right_cols_;
+  // Both sides' sweep orders live until the join ends although only the
+  // distribute reads them: freeing each right after its side let malloc
+  // trim the heap between the sides and more than doubled the minor page
+  // faults of a 6k × 6k two-layer join on 100 × 100 tiles (126 → 281).
+  std::vector<uint32_t> left_order_, right_order_;
+  SideParts left_parts_, right_parts_;
+};
+
+/// PBSM over one grid: the bucket is the partition, every partition is
+/// one task with one sweep, and the flush keeps a pair only in the
+/// partition owning the cell that contains its intersection's lower-left
+/// corner. `GridT` is Grid (uniform) or NonUniformGrid (tuned); both
+/// expose the same CellOf/CellRange contract, so the distribute and the
+/// reference-point rule agree. `cells_axis_stat` is only reported.
+template <typename GridT, typename PartFn>
+StatusOr<TupleVec> RunPbsm(PartitionedJoin& join, size_t P,
+                           size_t cells_axis_stat, const GridT& grid,
+                           const PartFn& partition_of_cell) {
+  // Each MBR goes to every partition its cells map to. The duplicate guard
+  // is an epoch-stamped array: bumping the epoch retires every stamp at
+  // once, instead of an O(P) refill per tuple — and only runs for the rare
+  // MBR spanning more than one cell.
+  std::vector<uint32_t> seen_epoch(P, 0);
+  uint32_t epoch = 0;
+  auto emit = [&](const join_kernel::MbrColumns& cols, uint32_t i,
+                  const auto& push) {
+    size_t cx0, cy0, cx1, cy1;
+    grid.CellRange(cols.xlo[i], cols.ylo[i], cols.xhi[i], cols.yhi[i], &cx0,
+                   &cy0, &cx1, &cy1);
+    if (cx0 == cx1 && cy0 == cy1) {
+      push(partition_of_cell(cy0 * grid.cells_x + cx0));
+      return;
+    }
+    ++epoch;
+    for (size_t cy = cy0; cy <= cy1; ++cy) {
+      for (size_t cx = cx0; cx <= cx1; ++cx) {
+        const size_t p = partition_of_cell(cy * grid.cells_x + cx);
+        if (seen_epoch[p] != epoch) {
+          seen_epoch[p] = epoch;
+          push(p);
+        }
+      }
+    }
+  };
+  join.Distribute(P, emit);
+
+  std::vector<int64_t> loads(P);
+  for (size_t p = 0; p < P; ++p) {
+    loads[p] = static_cast<int64_t>(join.left_parts().count(p) +
+                                    join.right_parts().count(p));
+  }
+  join.RecordShape(cells_axis_stat, loads);
+
+  auto make_filter = [&grid, &partition_of_cell](size_t p) {
+    return [&grid, &partition_of_cell, p](double rx, double ry) {
+      return partition_of_cell(grid.CellOf(rx, ry)) == p;
+    };
+  };
+  return join.SweepTasks(
+      P, make_filter, [](size_t p, const PartitionedJoin::TaskSweeper& s) {
+        if (!s.BeginUnit(p, 1)) return false;
+        s.Sweep(p, p);
+        return true;
+      });
+}
+
 }  // namespace
+
+bool AdaptiveCellGrid::Valid(size_t num_partitions) const {
+  if (x_edges.size() < 2 || y_edges.size() < 2) return false;
+  for (size_t i = 1; i < x_edges.size(); ++i) {
+    if (!(x_edges[i] > x_edges[i - 1])) return false;
+  }
+  for (size_t i = 1; i < y_edges.size(); ++i) {
+    if (!(y_edges[i] > y_edges[i - 1])) return false;
+  }
+  if (cell_part.size() != cells_x() * cells_y()) return false;
+  for (uint32_t p : cell_part) {
+    if (p >= num_partitions) return false;
+  }
+  return true;
+}
+
+StatusOr<TupleVec> PbsmSpatialJoin(const TupleVec& left, size_t left_col,
+                                   const TupleVec& right, size_t right_col,
+                                   const ExecContext& ctx,
+                                   const PbsmOptions& options) {
+  // Reset the stats sink up front: a sink reused across queries must
+  // describe *this* join, even when an empty input short-circuits below —
+  // otherwise the previous query's partition/replication stats leak into
+  // this one's report.
+  if (ctx.pbsm_stats != nullptr) ctx.pbsm_stats->Clear();
+  if (left.empty() || right.empty()) return TupleVec{};
+
+  const size_t P = std::max<size_t>(1, options.num_partitions);
+  const AdaptiveCellGrid* tuned = options.adaptive;
+  if (tuned != nullptr && !tuned->Valid(P)) {
+    return Status::InvalidArgument(
+        "PbsmSpatialJoin: PbsmOptions::adaptive is not a valid grid for "
+        "num_partitions");
+  }
+  PartitionedJoin join(left, left_col, right, right_col, ctx);
+  const Box universe = join.GatherMbrs(Box::Empty());
+
+  if (tuned != nullptr) {
+    const NonUniformGrid grid(*tuned);
+    return RunPbsm(join, P, std::max(grid.cells_x, grid.cells_y), grid,
+                   [tuned](size_t c) -> size_t { return tuned->cell_part[c]; });
+  }
+
+  size_t cells_axis = options.cells_per_axis;
+  if (cells_axis == 0) {
+    cells_axis = std::max<size_t>(
+        1, static_cast<size_t>(std::ceil(std::sqrt(16.0 * P))));
+  }
+  const Grid grid(universe, cells_axis, cells_axis);
+  // Small grids get the cell->partition map precomputed: the distribute
+  // loop and the reference-point filter call it per cell visit, and a
+  // table lookup beats re-running the block hash every time. Same pure
+  // function either way.
+  std::vector<uint32_t> cell_part;
+  if (cells_axis * cells_axis <= (1u << 16)) {
+    cell_part.resize(cells_axis * cells_axis);
+    for (size_t c = 0; c < cell_part.size(); ++c) {
+      cell_part[c] = static_cast<uint32_t>(PartitionOfCell(c, cells_axis, P));
+    }
+  }
+  auto partition_of_cell = [&cell_part, cells_axis, P](size_t c) -> size_t {
+    if (!cell_part.empty()) return cell_part[c];
+    return PartitionOfCell(c, cells_axis, P);
+  };
+  return RunPbsm(join, P, cells_axis, grid, partition_of_cell);
+}
 
 StatusOr<TupleVec> TwoLayerSpatialJoin(const TupleVec& left, size_t left_col,
                                        const TupleVec& right, size_t right_col,
@@ -617,31 +678,10 @@ StatusOr<TupleVec> TwoLayerSpatialJoin(const TupleVec& left, size_t left_col,
   const size_t num_tiles = static_cast<size_t>(T) * T;
   PARADISE_CHECK(options.owned == nullptr ||
                  options.owned->size() == num_tiles);
+  if (left.empty() || right.empty()) return TupleVec{};
 
-  TupleVec out;
-  if (left.empty() || right.empty()) return out;
-
-  join_kernel::MbrColumns left_cols, right_cols;
-  Box universe = options.universe;
-  const bool auto_universe = universe.IsEmpty();
-  auto gather_mbrs = [&universe, auto_universe](const TupleVec& tuples,
-                                                size_t col,
-                                                join_kernel::MbrColumns* cols) {
-    const size_t n = tuples.size();
-    cols->Resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      if (i + 8 < n) __builtin_prefetch(tuples[i + 8].values.data());
-      Box b = tuples[i].at(col).Mbr();
-      cols->Set(i, b);
-      if (auto_universe) universe.ExpandToInclude(b);
-    }
-  };
-  gather_mbrs(left, left_col, &left_cols);
-  gather_mbrs(right, right_col, &right_cols);
-  if (universe.Width() <= 0 || universe.Height() <= 0) {
-    universe = universe.Inflate(1.0);
-  }
-  const TileGrid grid(universe, T);
+  PartitionedJoin join(left, left_col, right, right_col, ctx);
+  const TileGrid grid(join.GatherMbrs(options.universe), T);
 
   // Dense ids for the owned tiles; everything downstream is keyed by
   // dense_tile * 4 + class, so unowned tiles cost nothing.
@@ -652,57 +692,28 @@ StatusOr<TupleVec> TwoLayerSpatialJoin(const TupleVec& left, size_t left_col,
       tile_dense[t] = static_cast<int32_t>(num_dense++);
     }
   }
-  if (num_dense == 0) return out;
-  const size_t K = num_dense * 4;  // (tile, class) buckets
+  if (num_dense == 0) return TupleVec{};
 
-  // Distribute: each side's ordinals, walked in global (xlo, ordinal)
-  // order, are counting-sorted into per-(owned tile, class) CSR lists —
-  // stable, so every list arrives presorted for the sweeps. Unlike PBSM's
-  // cell→partition map there is no duplicate guard: a tile is visited at
-  // most once per MBR by construction.
-  const std::vector<uint32_t> left_order = join_kernel::ArgsortByXlo(left_cols);
-  const std::vector<uint32_t> right_order =
-      join_kernel::ArgsortByXlo(right_cols);
-  auto distribute = [&](const join_kernel::MbrColumns& cols,
-                        const std::vector<uint32_t>& order, SideParts* parts) {
-    const size_t n = cols.size();
-    ctx.ChargeCpuOps(static_cast<int64_t>(n), sim::cpu_cost::kTupleOverhead);
-    std::vector<uint32_t> entry_key, entry_row;
-    entry_key.reserve(n + n / 4);
-    entry_row.reserve(n + n / 4);
-    std::vector<size_t> counts(K, 0);
-    for (size_t r = 0; r < n; ++r) {
-      const uint32_t i = order[r];
-      uint32_t cx0, cy0, cx1, cy1;
-      grid.Range(cols.xlo[i], cols.ylo[i], cols.xhi[i], cols.yhi[i], &cx0,
-                 &cy0, &cx1, &cy1);
-      for (uint32_t cy = cy0; cy <= cy1; ++cy) {
-        for (uint32_t cx = cx0; cx <= cx1; ++cx) {
-          const int32_t dense = tile_dense[static_cast<size_t>(cy) * T + cx];
-          if (dense < 0) continue;
-          const uint32_t cls =
-              (cx != cx0 ? 1u : 0u) | (cy != cy1 ? 2u : 0u);
-          const uint32_t key = static_cast<uint32_t>(dense) * 4 + cls;
-          entry_key.push_back(key);
-          entry_row.push_back(i);
-          ++counts[key];
-        }
+  // Bucket = (owned tile, begin class). Unlike PBSM's cell→partition map
+  // there is no duplicate guard: a tile is visited at most once per MBR by
+  // construction.
+  auto emit = [&](const join_kernel::MbrColumns& cols, uint32_t i,
+                  const auto& push) {
+    uint32_t cx0, cy0, cx1, cy1;
+    grid.Range(cols.xlo[i], cols.ylo[i], cols.xhi[i], cols.yhi[i], &cx0, &cy0,
+               &cx1, &cy1);
+    for (uint32_t cy = cy0; cy <= cy1; ++cy) {
+      for (uint32_t cx = cx0; cx <= cx1; ++cx) {
+        const int32_t dense = tile_dense[static_cast<size_t>(cy) * T + cx];
+        if (dense < 0) continue;
+        const uint32_t cls = (cx != cx0 ? 1u : 0u) | (cy != cy1 ? 2u : 0u);
+        push(static_cast<size_t>(dense) * 4 + cls);
       }
     }
-    parts->offsets.assign(K + 1, 0);
-    for (size_t k = 0; k < K; ++k) {
-      parts->offsets[k + 1] = parts->offsets[k] + counts[k];
-    }
-    parts->rows.resize(entry_row.size());
-    std::vector<size_t> cursor(parts->offsets.begin(),
-                               parts->offsets.end() - 1);
-    for (size_t e = 0; e < entry_row.size(); ++e) {
-      parts->rows[cursor[entry_key[e]]++] = entry_row[e];
-    }
   };
-  SideParts left_parts, right_parts;
-  distribute(left_cols, left_order, &left_parts);
-  distribute(right_cols, right_order, &right_parts);
+  join.Distribute(num_dense * 4, emit);
+  const SideParts& left_parts = join.left_parts();
+  const SideParts& right_parts = join.right_parts();
 
   // Pack owned tiles into sweep-task groups by combined entry load. The
   // group count and assignment are pure functions of the data and the
@@ -741,19 +752,16 @@ StatusOr<TupleVec> TwoLayerSpatialJoin(const TupleVec& left, size_t left_col,
     }
   }
   std::vector<std::vector<uint32_t>> group_tiles(G);
+  std::vector<int64_t> group_loads(G, 0);
   for (size_t d = 0; d < num_dense; ++d) {
     PARADISE_CHECK(tile_group[d] < G);
     group_tiles[tile_group[d]].push_back(static_cast<uint32_t>(d));
+    group_loads[tile_group[d]] += tile_loads[d];
   }
 
+  join.RecordShape(T, group_loads);
   if (ctx.pbsm_stats != nullptr) {
     PbsmJoinStats& st = *ctx.pbsm_stats;
-    st.partitions = G;
-    st.cells_per_axis = T;
-    st.left_tuples = static_cast<int64_t>(left.size());
-    st.right_tuples = static_cast<int64_t>(right.size());
-    st.left_items = static_cast<int64_t>(left_parts.rows.size());
-    st.right_items = static_cast<int64_t>(right_parts.rows.size());
     int64_t* census[4] = {&st.class_a_items, &st.class_b_items,
                           &st.class_c_items, &st.class_d_items};
     for (size_t d = 0; d < num_dense; ++d) {
@@ -762,122 +770,27 @@ StatusOr<TupleVec> TwoLayerSpatialJoin(const TupleVec& left, size_t left_col,
                       static_cast<int64_t>(right_parts.count(d * 4 + c));
       }
     }
-    size_t nonempty = 0;
-    for (size_t g = 0; g < G; ++g) {
-      int64_t items = 0;
-      for (uint32_t d : group_tiles[g]) items += tile_loads[d];
-      st.max_partition_items = std::max(st.max_partition_items, items);
-      if (items > 0) ++nonempty;
-    }
-    st.nonempty_partitions = static_cast<int64_t>(nonempty);
-    if (nonempty > 0) {
-      st.mean_partition_items =
-          static_cast<double>(total_entries) / static_cast<double>(nonempty);
-    }
-    st.replicated_entry_bytes =
-        (st.left_items - st.left_tuples + st.right_items - st.right_tuples) *
-        static_cast<int64_t>(4 * sizeof(double) + sizeof(uint32_t));
-    // The whole point of the class plan: these stay zero.
-    st.dedup_tests = 0;
-    st.dedup_dropped = 0;
   }
 
-  // Sweep phase: per group task, each owned tile runs its nine class-pair
-  // mini-joins as separate sweeps over the class-contiguous presorted
-  // lists. Every MBR-overlapping candidate goes straight to the exact
-  // pass — no reference-point filter, no hit-bit bookkeeping. Charges:
-  // one sort charge per non-empty class list of a productive tile, exact
-  // tests batch by batch, then the group's pair compares as one batched
-  // charge — all on a task-local clock merged in group order.
-  struct GroupTask {
-    Status status = Status::OK();
-    TupleVec out;
-    sim::ResourceUsage usage;
-    int64_t compares = 0;
-    int64_t candidates = 0;
-    int64_t exact_tests = 0;
-  };
-  std::vector<GroupTask> tasks(G);
-  auto sweep_group = [&](size_t g) {
-    GroupTask& task = tasks[g];
-    sim::NodeClock task_clock;
-    ExecContext task_ctx = TaskContext(ctx, &task_clock);
-    SweepScratch& scratch = t_sweep_scratch;
-    std::vector<join_kernel::OrdinalPair>& pairs = scratch.survivors;
-    join_kernel::CandidateBatch& batch = scratch.batch;
-    join_kernel::SweepSide& ls = scratch.ls;
-    join_kernel::SweepSide& rs = scratch.rs;
-    batch.set_flush([&](const join_kernel::Candidate* cands, size_t n) {
-      task.candidates += static_cast<int64_t>(n);
-      task.exact_tests += static_cast<int64_t>(n);
-      if (!task.status.ok() || n == 0) return;
-      pairs.clear();
-      for (size_t t = 0; t < n; ++t) {
-        pairs.push_back({ls.ordinal(cands[t].left_pos),
-                         rs.ordinal(cands[t].right_pos)});
-      }
-      task.status = join_kernel::ExactJoinBatch(
-          left, left_col, right, right_col, pairs.data(), n, task_ctx,
-          &task.out);
-    });
-    for (uint32_t d : group_tiles[g]) {
-      size_t l_total = 0, r_total = 0;
-      for (size_t c = 0; c < 4; ++c) {
-        l_total += left_parts.count(d * 4 + c);
-        r_total += right_parts.count(d * 4 + c);
-      }
-      if (l_total == 0 || r_total == 0) continue;
-      double sort_charge = 0.0;
-      for (size_t c = 0; c < 4; ++c) {
-        for (const SideParts* side : {&left_parts, &right_parts}) {
-          const double n = static_cast<double>(side->count(d * 4 + c));
-          if (n > 0) sort_charge += n * std::log2(n + 1);
+  // Per group task, each owned tile with entries on both sides runs its
+  // nine class-pair mini-joins as separate sweeps over the
+  // class-contiguous presorted lists. Every MBR-overlapping candidate goes
+  // straight to the exact pass — no reference-point filter, so
+  // `dedup_tests` and `dedup_dropped` stay zero.
+  return join.SweepTasks(
+      G, [](size_t) { return nullptr; },
+      [&](size_t g, const PartitionedJoin::TaskSweeper& s) {
+        bool productive = false;
+        for (uint32_t d : group_tiles[g]) {
+          if (tile_loads[d] > 0) productive = true;
+          if (!s.BeginUnit(d * 4, 4)) continue;
+          for (const auto& mj : kMiniJoins) {
+            s.Sweep(d * 4 + static_cast<size_t>(mj.l),
+                    d * 4 + static_cast<size_t>(mj.r));
+          }
         }
-      }
-      task_ctx.ChargeCpu(sort_charge * sim::cpu_cost::kCompare);
-      for (const auto& mj : kMiniJoins) {
-        const size_t lk = d * 4 + static_cast<size_t>(mj.l);
-        const size_t rk = d * 4 + static_cast<size_t>(mj.r);
-        const size_t ln = left_parts.count(lk);
-        const size_t rn = right_parts.count(rk);
-        if (ln == 0 || rn == 0) continue;
-        ls.GatherPresorted(left_cols, &left_parts.rows[left_parts.begin(lk)],
-                           ln);
-        rs.GatherPresorted(right_cols,
-                           &right_parts.rows[right_parts.begin(rk)], rn);
-        task.compares += join_kernel::SweepForCandidates(ls, rs, &batch);
-        batch.Flush();
-      }
-    }
-    task_ctx.ChargeCpuOps(task.compares, sim::cpu_cost::kCompare);
-    task.usage = task_clock.EndPhase();
-  };
-  const bool pooled = ctx.pool != nullptr && ctx.pool->num_threads() > 1;
-  ForEachTask(ctx.pool, G, sweep_group);
-
-  int64_t ran = 0;
-  for (size_t g = 0; g < G; ++g) {
-    PARADISE_RETURN_IF_ERROR(std::move(tasks[g].status));
-  }
-  for (size_t g = 0; g < G; ++g) {
-    GroupTask& task = tasks[g];
-    bool productive = false;
-    for (uint32_t d : group_tiles[g]) {
-      if (tile_loads[d] > 0) productive = true;
-    }
-    if (productive) ++ran;
-    ctx.ChargeUsage(task.usage);
-    if (ctx.pbsm_stats != nullptr) {
-      ctx.pbsm_stats->sweep_pair_compares += task.compares;
-      ctx.pbsm_stats->sweep_candidates += task.candidates;
-      ctx.pbsm_stats->exact_tests += task.exact_tests;
-    }
-    for (Tuple& t : task.out) out.push_back(std::move(t));
-  }
-  if (ctx.pbsm_stats != nullptr) {
-    ctx.pbsm_stats->parallel_tasks = pooled ? ran : 0;
-  }
-  return out;
+        return productive;
+      });
 }
 
 void IndexProbeCharger::ChargeVisits(int64_t visited) {
@@ -1038,27 +951,19 @@ StatusOr<ClosestMatch> ExpandingCircleClosest(const Point& point,
 
 std::unique_ptr<index::RStarTree> BuildRTreeOnColumn(const TupleVec& tuples,
                                                      size_t shape_col,
-                                                     const ExecContext& ctx,
-                                                     bool bulk_load) {
+                                                     const ExecContext& ctx) {
   ctx.ChargeCpu(static_cast<double>(tuples.size()) *
                 (sim::cpu_cost::kTupleOverhead + sim::cpu_cost::kHash));
-  if (bulk_load) {
-    std::vector<std::pair<Box, uint64_t>> entries;
-    entries.reserve(tuples.size());
-    for (uint64_t i = 0; i < tuples.size(); ++i) {
-      entries.emplace_back(tuples[i].at(shape_col).Mbr(), i);
-    }
-    if (ctx.clock != nullptr && !tuples.empty()) {
-      double n = static_cast<double>(tuples.size());
-      ctx.clock->ChargeCpu(n * std::log2(n + 1) * sim::cpu_cost::kCompare);
-    }
-    return index::RStarTree::BulkLoadStr(std::move(entries));
-  }
-  auto tree = std::make_unique<index::RStarTree>();
+  std::vector<std::pair<Box, uint64_t>> entries;
+  entries.reserve(tuples.size());
   for (uint64_t i = 0; i < tuples.size(); ++i) {
-    tree->Insert(tuples[i].at(shape_col).Mbr(), i);
+    entries.emplace_back(tuples[i].at(shape_col).Mbr(), i);
   }
-  return tree;
+  if (ctx.clock != nullptr && !tuples.empty()) {
+    double n = static_cast<double>(tuples.size());
+    ctx.clock->ChargeCpu(n * std::log2(n + 1) * sim::cpu_cost::kCompare);
+  }
+  return index::RStarTree::BulkLoadStr(std::move(entries));
 }
 
 }  // namespace paradise::exec

@@ -32,49 +32,20 @@ struct AdaptiveCellGrid {
 };
 
 struct PbsmOptions {
-  /// How grid cells map to join partitions.
-  enum class CellMap {
-    /// `cell % P` on the row-major cell index. Simple, but whenever P
-    /// divides the cell row width the modulus collapses to `cx % P` and
-    /// whole grid *columns* land in one partition — a clustered input
-    /// then piles into few partitions (the skew that two-layer
-    /// space-oriented partitioning warns about).
-    kModulo,
-    /// Block-interleaved: cells are tiled into small blocks, each block's
-    /// coordinates are mixed through a 64-bit finalizer, and the cells
-    /// inside a block are assigned round-robin starting at the block's
-    /// hash. Adjacent cells always hit distinct partitions and distinct
-    /// blocks are decorrelated, so hot regions spread over all P.
-    kBlockHash,
-    /// Tuned non-uniform grid: cell boundaries and the cell→partition map
-    /// come from `PbsmOptions::adaptive` (built by opt::PartitionTuner
-    /// from sampled density histograms). Requires `adaptive` to be set
-    /// and valid; `cells_per_axis`/auto-sizing are ignored.
-    kAdaptive,
-  };
-
-  /// Which per-partition sweep kernel runs the candidate generation.
-  enum class SweepKernel {
-    /// Struct-of-arrays MBR buffers + branch-light forward sweep
-    /// (exec/join_kernel.h). The default: same candidates, charges, and
-    /// output order as kAos, several times faster on the wall clock.
-    kSoa,
-    /// Array-of-structs Item records with Box::Intersects per encounter —
-    /// the pre-kernel layout, kept for ablation only.
-    kAos,
-  };
-
   /// Join partitions per node. [Pate96] uses many more partitions than
   /// would fit-by-size to smooth skew.
   size_t num_partitions = 32;
-  /// Grid resolution; 0 = auto (~16 cells per partition).
+  /// Uniform grid resolution; 0 = auto (~16 cells per partition). Its
+  /// cells map to partitions by block hash: 4×4 cell blocks are mixed
+  /// through a 64-bit finalizer and the cells inside a block are assigned
+  /// round-robin from the block's hash, so adjacent cells hit distinct
+  /// partitions and a hot region spreads over all P.
   size_t cells_per_axis = 0;
-  /// Cell→partition map; kModulo is kept for ablation only.
-  CellMap cell_map = CellMap::kBlockHash;
-  /// Sweep memory layout; kAos is kept for ablation only.
-  SweepKernel sweep_kernel = SweepKernel::kSoa;
-  /// Tuned grid consumed when `cell_map == kAdaptive`. Not owned; must
-  /// outlive the join call.
+  /// Tuned non-uniform grid (opt::PartitionTuner, from sampled density
+  /// histograms): cell boundaries plus the cell→partition map, used
+  /// instead of the uniform grid when set (`cells_per_axis` is then
+  /// ignored). Must be Valid(num_partitions), else the join returns
+  /// InvalidArgument. Not owned; must outlive the join call.
   const AdaptiveCellGrid* adaptive = nullptr;
 };
 
@@ -201,8 +172,7 @@ StatusOr<ClosestMatch> ExpandingCircleClosest(const geom::Point& point,
 /// row index — the "index built on the fly" of Query 12 step 3.
 std::unique_ptr<index::RStarTree> BuildRTreeOnColumn(const TupleVec& tuples,
                                                      size_t shape_col,
-                                                     const ExecContext& ctx,
-                                                     bool bulk_load = true);
+                                                     const ExecContext& ctx);
 
 }  // namespace paradise::exec
 

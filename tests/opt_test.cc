@@ -191,12 +191,11 @@ TEST(AdaptiveCellMapTest, MatchesBlockHashResultsAndCutsPartitionSkew) {
   TunedPartitioning tuned = TunePartitions(lhist, &rhist, topt);
   ASSERT_TRUE(tuned.grid.Valid(64));
 
-  auto run = [&](PbsmOptions::CellMap map, PbsmJoinStats* stats) {
+  auto run = [&](const exec::AdaptiveCellGrid* grid, PbsmJoinStats* stats) {
     PbsmOptions popts;
     popts.num_partitions = 64;
     popts.cells_per_axis = 32;
-    popts.cell_map = map;
-    if (map == PbsmOptions::CellMap::kAdaptive) popts.adaptive = &tuned.grid;
+    popts.adaptive = grid;
     ExecContext ctx;
     ctx.pbsm_stats = stats;
     auto r = exec::PbsmSpatialJoin(in.points, datagen::col::kPlaceLocation,
@@ -206,10 +205,8 @@ TEST(AdaptiveCellMapTest, MatchesBlockHashResultsAndCutsPartitionSkew) {
   };
 
   PbsmJoinStats block_stats, adaptive_stats;
-  std::vector<std::string> block =
-      run(PbsmOptions::CellMap::kBlockHash, &block_stats);
-  std::vector<std::string> adaptive =
-      run(PbsmOptions::CellMap::kAdaptive, &adaptive_stats);
+  std::vector<std::string> block = run(nullptr, &block_stats);
+  std::vector<std::string> adaptive = run(&tuned.grid, &adaptive_stats);
 
   EXPECT_FALSE(block.empty());
   EXPECT_EQ(adaptive, block) << "the cell map must never change the result";

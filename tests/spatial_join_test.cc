@@ -163,15 +163,11 @@ TEST(PbsmTest, DegenerateMbrsOnCellBoundariesNoDuplicates) {
   PbsmOptions opts;
   opts.num_partitions = 16;
   opts.cells_per_axis = 8;
-  for (auto map :
-       {PbsmOptions::CellMap::kModulo, PbsmOptions::CellMap::kBlockHash}) {
-    opts.cell_map = map;
-    auto pbsm = PbsmSpatialJoin(left, 1, right, 1, ctx, opts);
-    ASSERT_TRUE(pbsm.ok());
-    auto nl = NestedLoopsJoin(left, right, Overlaps(Col(1), Col(3)), ctx);
-    ASSERT_TRUE(nl.ok());
-    EXPECT_EQ(JoinKeys(*pbsm, 0, 2), JoinKeys(*nl, 0, 2));
-  }
+  auto pbsm = PbsmSpatialJoin(left, 1, right, 1, ctx, opts);
+  ASSERT_TRUE(pbsm.ok());
+  auto nl = NestedLoopsJoin(left, right, Overlaps(Col(1), Col(3)), ctx);
+  ASSERT_TRUE(nl.ok());
+  EXPECT_EQ(JoinKeys(*pbsm, 0, 2), JoinKeys(*nl, 0, 2));
 }
 
 /// Ordered (left id, right id) pairs — position-sensitive, unlike JoinKeys.
@@ -226,46 +222,6 @@ TEST(PbsmTest, DuplicateXminKeepsResultsDeterministicAndCorrect) {
   auto nl = NestedLoopsJoin(left, right, Overlaps(Col(1), Col(3)), ctx);
   ASSERT_TRUE(nl.ok());
   EXPECT_EQ(JoinKeys(*r1, 0, 2), JoinKeys(*nl, 0, 2));
-}
-
-TEST(PbsmTest, AosKernelBitIdenticalToSoa) {
-  // The AoS sweep is kept for ablation only, but it must stay a true
-  // control: same result rows in the same order, same modeled charges,
-  // and the same sweep counters as the SoA kernel.
-  Rng rng(43);
-  TupleVec left = PolygonTuples(&rng, 180, 45, 5);
-  TupleVec right = PolylineTuples(&rng, 200, 45);
-  PbsmOptions opts;
-  opts.num_partitions = 24;
-
-  std::vector<std::pair<int64_t, int64_t>> keys_soa;
-  sim::ResourceUsage usage_soa;
-  PbsmJoinStats stats_soa;
-  for (auto kernel :
-       {PbsmOptions::SweepKernel::kSoa, PbsmOptions::SweepKernel::kAos}) {
-    opts.sweep_kernel = kernel;
-    sim::NodeClock clock;
-    PbsmJoinStats stats;
-    ExecContext ctx;
-    ctx.clock = &clock;
-    ctx.pbsm_stats = &stats;
-    auto r = PbsmSpatialJoin(left, 1, right, 1, ctx, opts);
-    ASSERT_TRUE(r.ok());
-    sim::ResourceUsage usage = clock.EndPhase();
-    if (kernel == PbsmOptions::SweepKernel::kSoa) {
-      keys_soa = OrderedKeys(*r, 0, 2);
-      usage_soa = usage;
-      stats_soa = stats;
-      EXPECT_GT(stats.sweep_pair_compares, 0);
-      EXPECT_GT(stats.sweep_candidates, 0);
-      EXPECT_GT(stats.exact_tests, 0);
-      EXPECT_GE(stats.sweep_candidates, stats.exact_tests);
-    } else {
-      EXPECT_EQ(OrderedKeys(*r, 0, 2), keys_soa) << "kernels diverged";
-      ExpectUsageEq(usage, usage_soa);
-      EXPECT_EQ(stats, stats_soa);
-    }
-  }
 }
 
 TEST(PbsmTest, ZeroWidthUniverseInflates) {
@@ -330,6 +286,9 @@ TEST(PbsmTest, ThreadCountLeavesResultsAndChargesBitIdentical) {
       usage_1 = usage;
       stats_1 = stats;
       EXPECT_EQ(stats.parallel_tasks, 0);
+      EXPECT_GT(stats.sweep_pair_compares, 0);
+      EXPECT_GT(stats.exact_tests, 0);
+      EXPECT_GE(stats.sweep_candidates, stats.exact_tests);
     } else {
       EXPECT_EQ(OrderedKeys(*r, 0, 2), keys_1) << "result order changed";
       ExpectUsageEq(usage, usage_1);
@@ -379,9 +338,10 @@ TEST(IndexSpatialJoinTest, ThreadCountLeavesResultsAndChargesBitIdentical) {
 }
 
 TEST(PbsmTest, BlockHashMapBalancesClusteredDataBetterThanModulo) {
-  // Clustered inputs on modulo's degenerate grid (P divides the cell row
-  // width, so `cell % P` collapses to `cx % P`): the block-hash map must
-  // cut the largest partition.
+  // Clustered inputs on a grid where P divides the cell row width, so a
+  // plain `cell % P` map would collapse to `cx % P` and pile every hotspot
+  // entry into the partitions of its few grid columns. The block-hash map
+  // must keep the largest partition below that modulo load.
   Rng rng(37);
   TupleVec left, right;
   for (int i = 0; i < 600; ++i) {
@@ -400,23 +360,82 @@ TEST(PbsmTest, BlockHashMapBalancesClusteredDataBetterThanModulo) {
   left.push_back(
       Tuple({Value(int64_t{9001}), Value(Polyline({{50, 50}, {50, 50}}))}));
 
+  constexpr size_t kP = 32, kCells = 32;
+  // The load `cell % P` would give: each MBR lands once in the partition
+  // of every grid column it overlaps (cell % 32 == column here).
+  std::vector<int64_t> modulo_load(kP, 0);
+  std::set<size_t> hot_columns;
+  for (const TupleVec* side : {&left, &right}) {
+    for (const Tuple& t : *side) {
+      const Box b = t.at(1).Mbr();
+      auto column = [](double x) {
+        const double f = std::max(0.0, (x + 50.0) * (kCells / 100.0));
+        return std::min(kCells - 1, static_cast<size_t>(f));
+      };
+      const int64_t id = t.at(0).AsInt();
+      const bool anchor = id == 9000 || id == 9001;
+      std::set<size_t> parts;
+      for (size_t c = column(b.xmin); c <= column(b.xmax); ++c) {
+        parts.insert(c % kP);
+        if (!anchor) hot_columns.insert(c);
+      }
+      for (size_t p : parts) ++modulo_load[p];
+    }
+  }
+  const int64_t modulo_max =
+      *std::max_element(modulo_load.begin(), modulo_load.end());
+  ASSERT_LE(hot_columns.size(), 2u);
+  ASSERT_GE(modulo_max, 600);
+
   PbsmOptions opts;
-  opts.num_partitions = 32;
-  opts.cells_per_axis = 32;
+  opts.num_partitions = kP;
+  opts.cells_per_axis = kCells;
   ExecContext ctx;
-  PbsmJoinStats modulo_stats, hash_stats;
-
-  opts.cell_map = PbsmOptions::CellMap::kModulo;
-  ctx.pbsm_stats = &modulo_stats;
-  ASSERT_TRUE(PbsmSpatialJoin(left, 1, right, 1, ctx, opts).ok());
-
-  opts.cell_map = PbsmOptions::CellMap::kBlockHash;
+  PbsmJoinStats hash_stats;
   ctx.pbsm_stats = &hash_stats;
   ASSERT_TRUE(PbsmSpatialJoin(left, 1, right, 1, ctx, opts).ok());
 
-  EXPECT_LT(hash_stats.max_partition_items, modulo_stats.max_partition_items);
-  EXPECT_EQ(hash_stats.left_tuples, modulo_stats.left_tuples);
-  EXPECT_GT(modulo_stats.replication(), 0.99);
+  EXPECT_LT(hash_stats.max_partition_items, modulo_max);
+  EXPECT_EQ(hash_stats.left_tuples, 602);
+  EXPECT_GT(hash_stats.replication(), 0.99);
+}
+
+TEST(PbsmTest, InvalidAdaptiveGridIsInvalidArgument) {
+  // A tuned grid that fails AdaptiveCellGrid::Valid must be rejected, and
+  // the stats sink must still describe this (failed) join: cleared.
+  Rng rng(47);
+  TupleVec left = PolygonTuples(&rng, 40, 20, 3);
+  TupleVec right = PolylineTuples(&rng, 40, 20);
+  AdaptiveCellGrid good;
+  good.x_edges = {-30, 0, 30};
+  good.y_edges = {-30, 0, 30};
+  good.cell_part = {0, 1, 2, 3};
+  PbsmOptions opts;
+  opts.num_partitions = 4;
+  opts.adaptive = &good;
+  {
+    ExecContext ctx;
+    ASSERT_TRUE(PbsmSpatialJoin(left, 1, right, 1, ctx, opts).ok());
+  }
+
+  AdaptiveCellGrid unordered = good;
+  unordered.x_edges = {-30, 30, 0};
+  AdaptiveCellGrid wrong_size = good;
+  wrong_size.cell_part.pop_back();
+  AdaptiveCellGrid out_of_range = good;
+  out_of_range.cell_part[2] = 4;  // == P
+  for (const AdaptiveCellGrid* bad : {&unordered, &wrong_size, &out_of_range}) {
+    PbsmJoinStats stats;
+    stats.partitions = 99;
+    stats.exact_tests = 7;
+    ExecContext ctx;
+    ctx.pbsm_stats = &stats;
+    opts.adaptive = bad;
+    auto r = PbsmSpatialJoin(left, 1, right, 1, ctx, opts);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(stats, PbsmJoinStats());
+  }
 }
 
 TEST(IndexSpatialJoinTest, MatchesNestedLoops) {
@@ -674,6 +693,9 @@ TEST(TwoLayerTest, ThreadCountLeavesResultsAndChargesBitIdentical) {
       usage_1 = usage;
       stats_1 = stats;
       EXPECT_EQ(stats.parallel_tasks, 0);
+      EXPECT_GT(stats.sweep_pair_compares, 0);
+      EXPECT_GT(stats.exact_tests, 0);
+      EXPECT_GE(stats.sweep_candidates, stats.exact_tests);
     } else {
       EXPECT_EQ(OrderedKeys(*r, 0, 2), keys_1) << "result order changed";
       ExpectUsageEq(usage, usage_1);
