@@ -386,7 +386,7 @@ int main(int argc, char** argv) {
     auto mcast = paradise::core::Redistribute(
         &coord, outer,
         [&](const paradise::exec::Tuple& t, std::vector<uint32_t>* dest) {
-          *dest = grid.NodesOfBox(t.at(point_col).Mbr());
+          grid.NodesOfBox(t.at(point_col).Mbr(), dest);
         });
     if (!mcast.ok()) return 1;
     const int64_t mcast_bytes = net_charge() - before_mcast;

@@ -1,6 +1,7 @@
 #include "array/chunked_array.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 
@@ -73,9 +74,13 @@ std::vector<uint32_t> ChooseTileDims(const std::vector<uint32_t>& dims,
 
 namespace {
 
+/// Highest array rank CopyTileRegion handles; its per-call coordinate
+/// scratch lives on the stack.
+constexpr size_t kMaxCopyRank = 8;
+
 /// Copies the overlap of tile `tile_coord` with region [lo, hi) between a
-/// tile-local buffer and a region-local buffer. Handles any number of
-/// dimensions by iterating row-major over all but the innermost dimension.
+/// tile-local buffer and a region-local buffer. Handles up to kMaxCopyRank
+/// dimensions by iterating row-major over all but the innermost one.
 /// `to_region` selects direction: tile buffer -> region buffer.
 void CopyTileRegion(const ArrayHandle& h,
                     const std::vector<uint32_t>& tile_coord,
@@ -83,28 +88,30 @@ void CopyTileRegion(const ArrayHandle& h,
                     const std::vector<uint32_t>& hi, uint8_t* tile_buf,
                     uint8_t* region_buf, bool to_region) {
   size_t ndims = h.dims.size();
+  PARADISE_CHECK(ndims >= 1 && ndims <= kMaxCopyRank);
+  using Coords = std::array<uint32_t, kMaxCopyRank>;
   // Tile extent (edge tiles may be smaller).
-  std::vector<uint32_t> tile_lo(ndims), tile_hi(ndims), tile_ext(ndims);
+  Coords tile_lo, tile_hi, tile_ext;
   for (size_t i = 0; i < ndims; ++i) {
     tile_lo[i] = tile_coord[i] * h.tile_dims[i];
     tile_hi[i] = std::min(h.dims[i], tile_lo[i] + h.tile_dims[i]);
     tile_ext[i] = tile_hi[i] - tile_lo[i];
   }
   // Overlap of tile with region, in global coordinates.
-  std::vector<uint32_t> olo(ndims), ohi(ndims);
+  Coords olo, ohi;
   for (size_t i = 0; i < ndims; ++i) {
     olo[i] = std::max(lo[i], tile_lo[i]);
     ohi[i] = std::min(hi[i], tile_hi[i]);
     if (olo[i] >= ohi[i]) return;  // empty overlap
   }
-  std::vector<uint32_t> region_ext(ndims);
+  Coords region_ext;
   for (size_t i = 0; i < ndims; ++i) region_ext[i] = hi[i] - lo[i];
 
   // Iterate over all coordinates of the overlap except the last dimension,
   // copying contiguous runs along the last dimension.
   size_t run_elems = ohi[ndims - 1] - olo[ndims - 1];
   size_t run_bytes = run_elems * h.elem_size;
-  std::vector<uint32_t> cur(olo.begin(), olo.end());
+  Coords cur = olo;
   while (true) {
     // Compute flat offsets for `cur` in tile and region buffers.
     size_t tile_off = 0, region_off = 0;

@@ -240,7 +240,8 @@ StatusOr<QueryResult> RunQuery2(BenchmarkDatabase* db) {
   PARADISE_ASSIGN_OR_RETURN(PerNode per,
                             core::ParallelScan(&coord, db->raster(), pred,
                                                proj));
-  PARADISE_ASSIGN_OR_RETURN(TupleVec rows, core::Gather(&coord, per));
+  PARADISE_ASSIGN_OR_RETURN(TupleVec rows,
+                            core::Gather(&coord, std::move(per)));
   PARADISE_RETURN_IF_ERROR(coord.RunSequential("sort", [&]() -> Status {
     NodeExecContext cc = MakeCoordinatorContext(db->cluster());
     exec::SortTuples(&rows, {exec::SortKey{0, true}}, cc.ctx);
@@ -281,7 +282,7 @@ StatusOr<QueryResult> RunQuery4(BenchmarkDatabase* db) {
                              {"data", ValueType::kRaster}});
   PARADISE_ASSIGN_OR_RETURN(
       std::unique_ptr<ParallelTable> stored,
-      core::StoreResult(&coord, projected, std::move(def)));
+      core::StoreResult(&coord, std::move(projected), std::move(def)));
   TupleVec rows;
   rows.push_back(Tuple({Value(stored->num_rows())}));
   return Finish(coord, std::move(rows));
@@ -293,7 +294,8 @@ StatusOr<QueryResult> RunQuery5(BenchmarkDatabase* db) {
   PARADISE_ASSIGN_OR_RETURN(
       PerNode per, core::ParallelIndexSelectString(
                        &coord, db->places(), col::kPlaceName, "Phoenix"));
-  PARADISE_ASSIGN_OR_RETURN(TupleVec rows, core::Gather(&coord, per));
+  PARADISE_ASSIGN_OR_RETURN(TupleVec rows,
+                            core::Gather(&coord, std::move(per)));
   return Finish(coord, std::move(rows));
 }
 
@@ -309,8 +311,9 @@ StatusOr<QueryResult> RunQuery6(BenchmarkDatabase* db) {
   catalog::TableDef def;
   def.name = "q6_result";
   def.schema = datagen::LandCoverSchema();
-  PARADISE_ASSIGN_OR_RETURN(std::unique_ptr<ParallelTable> stored,
-                            core::StoreResult(&coord, per, std::move(def)));
+  PARADISE_ASSIGN_OR_RETURN(
+      std::unique_ptr<ParallelTable> stored,
+      core::StoreResult(&coord, std::move(per), std::move(def)));
   TupleVec rows;
   rows.push_back(Tuple({Value(stored->num_rows())}));
   return Finish(coord, std::move(rows));
@@ -332,7 +335,8 @@ StatusOr<QueryResult> RunQuery7(BenchmarkDatabase* db) {
                                exec::Col(col::kLcType)};
   PARADISE_ASSIGN_OR_RETURN(PerNode projected,
                             ParallelProject(&coord, per, proj, "project"));
-  PARADISE_ASSIGN_OR_RETURN(TupleVec rows, core::Gather(&coord, projected));
+  PARADISE_ASSIGN_OR_RETURN(TupleVec rows,
+                            core::Gather(&coord, std::move(projected)));
   return Finish(coord, std::move(rows));
 }
 
@@ -345,7 +349,7 @@ StatusOr<QueryResult> RunQuery8(BenchmarkDatabase* db) {
                               &coord, db->places(), col::kPlaceName,
                               "Louisville"));
   PARADISE_ASSIGN_OR_RETURN(PerNode everywhere,
-                            core::Broadcast(&coord, louisville));
+                            core::Broadcast(&coord, std::move(louisville)));
   // Index nested loops spatial join against each node's landCover R*-tree.
   core::Cluster* cluster = db->cluster();
   PerNode out(cluster->num_nodes());
@@ -383,7 +387,8 @@ StatusOr<QueryResult> RunQuery8(BenchmarkDatabase* db) {
         }
         return Status::OK();
       }));
-  PARADISE_ASSIGN_OR_RETURN(TupleVec rows, core::Gather(&coord, out));
+  PARADISE_ASSIGN_OR_RETURN(TupleVec rows,
+                            core::Gather(&coord, std::move(out)));
   return Finish(coord, std::move(rows));
 }
 
@@ -402,7 +407,8 @@ StatusOr<QueryResult> RunOilFieldClip(BenchmarkDatabase* db, Date lo,
                 exec::Lit(Value(datagen::kOilFieldType)));
   PARADISE_ASSIGN_OR_RETURN(
       PerNode oil, core::ParallelScan(&coord, db->land_cover(), oil_pred, {}));
-  PARADISE_ASSIGN_OR_RETURN(PerNode oil_all, core::Broadcast(&coord, oil));
+  PARADISE_ASSIGN_OR_RETURN(PerNode oil_all,
+                            core::Broadcast(&coord, std::move(oil)));
 
   PARADISE_ASSIGN_OR_RETURN(PerNode rasters,
                             SelectRasters(&coord, db, lo, hi, k.channel));
@@ -425,7 +431,8 @@ StatusOr<QueryResult> RunOilFieldClip(BenchmarkDatabase* db, Date lo,
     }
     return Status::OK();
   }));
-  PARADISE_ASSIGN_OR_RETURN(TupleVec rows, core::Gather(&coord, out));
+  PARADISE_ASSIGN_OR_RETURN(TupleVec rows,
+                            core::Gather(&coord, std::move(out)));
   return Finish(coord, std::move(rows));
 }
 
@@ -452,7 +459,8 @@ StatusOr<QueryResult> RunQuery10(BenchmarkDatabase* db) {
       exec::RasterClip(exec::Col(col::kRasterData), k.clip_polygon)};
   PARADISE_ASSIGN_OR_RETURN(
       PerNode per, core::ParallelScan(&coord, db->raster(), pred, proj));
-  PARADISE_ASSIGN_OR_RETURN(TupleVec rows, core::Gather(&coord, per));
+  PARADISE_ASSIGN_OR_RETURN(TupleVec rows,
+                            core::Gather(&coord, std::move(per)));
   return Finish(coord, std::move(rows));
 }
 
@@ -497,8 +505,9 @@ StatusOr<QueryResult> RunQuery12(BenchmarkDatabase* db) {
   core::ClosestJoinStats stats;
   PARADISE_ASSIGN_OR_RETURN(
       TupleVec rows,
-      core::SpatialJoinWithClosest(&coord, cities, col::kPlaceLocation,
-                                   features, col::kLineShape, db->universe(),
+      core::SpatialJoinWithClosest(&coord, std::move(cities),
+                                   col::kPlaceLocation, std::move(features),
+                                   col::kLineShape, db->universe(),
                                    tiles_per_axis, &stats));
   return Finish(coord, std::move(rows));
 }
@@ -521,9 +530,11 @@ StatusOr<QueryResult> RunQuery13(BenchmarkDatabase* db) {
   opts.routing_grid = &db->drainage().grid();
   PARADISE_ASSIGN_OR_RETURN(
       PerNode joined,
-      core::ParallelSpatialJoin(&coord, drainage, col::kLineShape, roads,
-                                col::kLineShape, db->universe(), opts));
-  PARADISE_ASSIGN_OR_RETURN(TupleVec rows, core::Gather(&coord, joined));
+      core::ParallelSpatialJoin(&coord, std::move(drainage), col::kLineShape,
+                                std::move(roads), col::kLineShape,
+                                db->universe(), opts));
+  PARADISE_ASSIGN_OR_RETURN(TupleVec rows,
+                            core::Gather(&coord, std::move(joined)));
   return Finish(coord, std::move(rows));
 }
 

@@ -223,7 +223,7 @@ StatusOr<PerNode> ParallelIndexSelectIntRange(QueryCoordinator* coord,
 }
 
 StatusOr<PerNode> Redistribute(
-    QueryCoordinator* coord, const PerNode& input,
+    QueryCoordinator* coord, PerNode input,
     const std::function<void(const Tuple&, std::vector<uint32_t>*)>& route) {
   Cluster* cluster = coord->cluster();
   int N = cluster->num_nodes();
@@ -247,7 +247,7 @@ StatusOr<PerNode> Redistribute(
       [&](int n) -> Status {
         sim::NodeClock* clock = cluster->node(n).clock();
         std::vector<uint32_t> dests;
-        for (const Tuple& t : input[n]) {
+        for (Tuple& t : input[n]) {
           clock->ChargeCpu(sim::cpu_cost::kTupleOverhead +
                            sim::cpu_cost::kHash);
           dests.clear();
@@ -263,13 +263,15 @@ StatusOr<PerNode> Redistribute(
                         dests.end());
           }
           size_t wire = t.WireBytes();
-          for (uint32_t d : dests) {
+          for (size_t i = 0; i < dests.size(); ++i) {
+            const uint32_t d = dests[i];
             PARADISE_DCHECK(d < static_cast<uint32_t>(N));
             OutBin& bin = bins[n][d];
             if (static_cast<int>(d) != n) {
               bin.bytes += static_cast<int64_t>(wire);
             }
-            bin.tuples.push_back(t);
+            // Copies for all destinations but the last, which takes it.
+            bin.tuples.push_back(i + 1 < dests.size() ? t : std::move(t));
           }
         }
         return Status::OK();
@@ -297,9 +299,9 @@ StatusOr<PerNode> Redistribute(
   return out;
 }
 
-StatusOr<PerNode> Broadcast(QueryCoordinator* coord, const PerNode& input) {
+StatusOr<PerNode> Broadcast(QueryCoordinator* coord, PerNode input) {
   int N = coord->cluster()->num_nodes();
-  return Redistribute(coord, input,
+  return Redistribute(coord, std::move(input),
                       [N](const Tuple&, std::vector<uint32_t>* dests) {
                         for (int d = 0; d < N; ++d) {
                           dests->push_back(static_cast<uint32_t>(d));
@@ -307,15 +309,15 @@ StatusOr<PerNode> Broadcast(QueryCoordinator* coord, const PerNode& input) {
                       });
 }
 
-StatusOr<TupleVec> Gather(QueryCoordinator* coord, const PerNode& input) {
+StatusOr<TupleVec> Gather(QueryCoordinator* coord, PerNode input) {
   Cluster* cluster = coord->cluster();
   TupleVec out;
   PARADISE_RETURN_IF_ERROR(coord->RunSequential("gather", [&]() -> Status {
     for (int n = 0; n < cluster->num_nodes(); ++n) {
       int64_t bytes = 0;
-      for (const Tuple& t : input[n]) {
+      for (Tuple& t : input[n]) {
         bytes += static_cast<int64_t>(t.WireBytes());
-        out.push_back(t);
+        out.push_back(std::move(t));
       }
       if (bytes > 0) {
         int64_t messages = (bytes + 8191) / 8192;
@@ -329,8 +331,8 @@ StatusOr<TupleVec> Gather(QueryCoordinator* coord, const PerNode& input) {
 }
 
 StatusOr<PerNode> ParallelSpatialJoin(QueryCoordinator* coord,
-                                      const PerNode& left, size_t left_col,
-                                      const PerNode& right, size_t right_col,
+                                      PerNode left, size_t left_col,
+                                      PerNode right, size_t right_col,
                                       const Box& universe,
                                       const ParallelSpatialJoinOptions& opts) {
   Cluster* cluster = coord->cluster();
@@ -346,26 +348,37 @@ StatusOr<PerNode> ParallelSpatialJoin(QueryCoordinator* coord,
           : cluster->topology()->MakeRoutingGrid(universe,
                                                  opts.tiles_per_axis);
 
+  // What the later phases need from the inputs as the caller shaped
+  // them, taken before redistribution moves the tuples away.
+  auto count_rows = [](const PerNode& side) {
+    int64_t n = 0;
+    for (const TupleVec& v : side) n += static_cast<int64_t>(v.size());
+    return static_cast<double>(n);
+  };
+  const double left_rows = count_rows(left);
+  const double right_rows = count_rows(right);
+  size_t left_width = 0;
+  for (const TupleVec& v : left) {
+    if (!v.empty()) {
+      left_width = v[0].size();
+      break;
+    }
+  }
+
   // Phase 1: spatial redeclustering with replication (skipped for inputs
-  // already declustered on this grid).
+  // already declustered on this grid, which are joined where they lie).
   auto route_spatial = [&grid](size_t col) {
     return [&grid, col](const Tuple& t, std::vector<uint32_t>* dests) {
-      *dests = grid.NodesOfBox(t.at(col).Mbr());
+      grid.NodesOfBox(t.at(col).Mbr(), dests);
     };
   };
-  PerNode left_placed;
-  if (opts.left_predeclustered) {
-    left_placed = left;
-  } else {
-    PARADISE_ASSIGN_OR_RETURN(left_placed,
-                              Redistribute(coord, left, route_spatial(left_col)));
-  }
-  PerNode right_placed;
-  if (opts.right_predeclustered) {
-    right_placed = right;
-  } else {
+  if (!opts.left_predeclustered) {
     PARADISE_ASSIGN_OR_RETURN(
-        right_placed, Redistribute(coord, right, route_spatial(right_col)));
+        left, Redistribute(coord, std::move(left), route_spatial(left_col)));
+  }
+  if (!opts.right_predeclustered) {
+    PARADISE_ASSIGN_OR_RETURN(
+        right, Redistribute(coord, std::move(right), route_spatial(right_col)));
   }
 
   // Adaptive mode: derive plan-time features from catalog stats, ask the
@@ -380,21 +393,16 @@ StatusOr<PerNode> ParallelSpatialJoin(QueryCoordinator* coord,
   double tuned_skew = 0.0;
   bool use_inl = false;
   if (opts.adaptive) {
-    auto count_rows = [](const PerNode& side) {
-      int64_t n = 0;
-      for (const TupleVec& v : side) n += static_cast<int64_t>(v.size());
-      return static_cast<double>(n);
-    };
     const opt::HistogramStats* lstats =
         cluster->catalog()->FindTableStats(opts.left_stats_table);
     const opt::HistogramStats* rstats =
         cluster->catalog()->FindTableStats(opts.right_stats_table);
     features.left_rows = lstats != nullptr
                              ? static_cast<double>(lstats->total_rows)
-                             : count_rows(left);
+                             : left_rows;
     features.right_rows = rstats != nullptr
                               ? static_cast<double>(rstats->total_rows)
-                              : count_rows(right);
+                              : right_rows;
     features.left_skew = lstats != nullptr ? lstats->DensitySkew() : 1.0;
     features.right_skew = rstats != nullptr ? rstats->DensitySkew() : 1.0;
     decision = opts.override_decision != nullptr
@@ -433,13 +441,6 @@ StatusOr<PerNode> ParallelSpatialJoin(QueryCoordinator* coord,
   // reference-point rule. Both methods emit [left ⊕ right] tuples, so
   // one dedup filter serves either.
   PerNode out(N);
-  size_t left_width = 0;
-  for (const TupleVec& v : left) {
-    if (!v.empty()) {
-      left_width = v[0].size();
-      break;
-    }
-  }
   auto dedup_into = [&](int n, TupleVec joined) {
     // Every cross-node joined tuple pays a reference-point test; the
     // per-node sink tallies them (and the duplicates they drop) so the
@@ -482,8 +483,8 @@ StatusOr<PerNode> ParallelSpatialJoin(QueryCoordinator* coord,
           two.group_packer = &opt::PackTileGroups;
           PARADISE_ASSIGN_OR_RETURN(
               out[n],
-              exec::TwoLayerSpatialJoin(left_placed[n], left_col,
-                                        right_placed[n], right_col, nc.ctx,
+              exec::TwoLayerSpatialJoin(left[n], left_col,
+                                        right[n], right_col, nc.ctx,
                                         two));
           return Status::OK();
         }));
@@ -496,8 +497,8 @@ StatusOr<PerNode> ParallelSpatialJoin(QueryCoordinator* coord,
           nc.ctx.pbsm_stats = coord->node_pbsm_stats(n);
           PARADISE_ASSIGN_OR_RETURN(
               TupleVec joined,
-              exec::PbsmSpatialJoin(left_placed[n], left_col,
-                                    right_placed[n], right_col, nc.ctx,
+              exec::PbsmSpatialJoin(left[n], left_col,
+                                    right[n], right_col, nc.ctx,
                                     pbsm));
           dedup_into(n, std::move(joined));
           return Status::OK();
@@ -510,11 +511,11 @@ StatusOr<PerNode> ParallelSpatialJoin(QueryCoordinator* coord,
           // every outer tuple — Query 12's step-3 pattern reused as a
           // full join method.
           std::unique_ptr<index::RStarTree> tree =
-              exec::BuildRTreeOnColumn(right_placed[n], right_col, nc.ctx);
+              exec::BuildRTreeOnColumn(right[n], right_col, nc.ctx);
           PARADISE_ASSIGN_OR_RETURN(
               TupleVec joined,
-              exec::IndexSpatialJoin(left_placed[n], left_col,
-                                     right_placed[n], right_col, *tree,
+              exec::IndexSpatialJoin(left[n], left_col,
+                                     right[n], right_col, *tree,
                                      nc.ctx));
           dedup_into(n, std::move(joined));
           return Status::OK();
@@ -575,9 +576,9 @@ StatusOr<TupleVec> ParallelAggregate(QueryCoordinator* coord,
         TupleVec all;
         for (int n = 0; n < N; ++n) {
           int64_t bytes = 0;
-          for (const Tuple& t : partials[n]) {
+          for (Tuple& t : partials[n]) {
             bytes += static_cast<int64_t>(t.WireBytes());
-            all.push_back(t);
+            all.push_back(std::move(t));
           }
           if (bytes > 0) {
             int64_t messages = (bytes + 8191) / 8192;
@@ -595,8 +596,8 @@ StatusOr<TupleVec> ParallelAggregate(QueryCoordinator* coord,
 }
 
 StatusOr<TupleVec> SpatialJoinWithClosest(
-    QueryCoordinator* coord, const PerNode& points, size_t point_col,
-    const PerNode& features, size_t shape_col, const Box& universe,
+    QueryCoordinator* coord, PerNode points, size_t point_col,
+    PerNode features, size_t shape_col, const Box& universe,
     uint32_t tiles_per_axis, ClosestJoinStats* stats) {
   Cluster* cluster = coord->cluster();
   int N = cluster->num_nodes();
@@ -608,13 +609,13 @@ StatusOr<TupleVec> SpatialJoinWithClosest(
   // same grid.
   PARADISE_ASSIGN_OR_RETURN(
       PerNode features_placed,
-      Redistribute(coord, features,
+      Redistribute(coord, std::move(features),
                    [&](const Tuple& t, std::vector<uint32_t>* dests) {
-                     *dests = grid.NodesOfBox(t.at(shape_col).Mbr());
+                     grid.NodesOfBox(t.at(shape_col).Mbr(), dests);
                    }));
   PARADISE_ASSIGN_OR_RETURN(
       PerNode points_placed,
-      Redistribute(coord, points,
+      Redistribute(coord, std::move(points),
                    [&](const Tuple& t, std::vector<uint32_t>* dests) {
                      dests->push_back(grid.NodeOfPoint(t.at(point_col).AsPoint()));
                    }));
@@ -632,7 +633,7 @@ StatusOr<TupleVec> SpatialJoinWithClosest(
         NodeExecContext nc = MakeNodeContext(cluster, n);
         trees[n] = exec::BuildRTreeOnColumn(features_placed[n], shape_col,
                                             nc.ctx);
-        for (const Tuple& pt : points_placed[n]) {
+        for (Tuple& pt : points_placed[n]) {
           const Point& p = pt.at(point_col).AsPoint();
           uint32_t tile = grid.TileOfPoint(p);
           double radius = grid.TileBox(tile).BoundaryDistanceFrom(p);
@@ -666,7 +667,7 @@ StatusOr<TupleVec> SpatialJoinWithClosest(
             partials[n].push_back(std::move(partial));
             ++local_counts[n];
           } else {
-            unresolved[n].push_back(pt);
+            unresolved[n].push_back(std::move(pt));
           }
         }
         return Status::OK();
@@ -678,7 +679,7 @@ StatusOr<TupleVec> SpatialJoinWithClosest(
     replicated_count += static_cast<int64_t>(v.size());
   }
   PARADISE_ASSIGN_OR_RETURN(PerNode everywhere,
-                            Broadcast(coord, unresolved));
+                            Broadcast(coord, std::move(unresolved)));
 
   // Step 4: join-with-aggregate — expanding-circle probes per point.
   PARADISE_RETURN_IF_ERROR(
@@ -715,7 +716,7 @@ StatusOr<TupleVec> SpatialJoinWithClosest(
         std::map<std::pair<double, double>, Tuple> best;
         for (int n = 0; n < N; ++n) {
           int64_t bytes = 0;
-          for (const Tuple& t : partials[n]) {
+          for (Tuple& t : partials[n]) {
             bytes += static_cast<int64_t>(t.WireBytes());
             cluster->coordinator_clock()->ChargeCpu(
                 sim::cpu_cost::kTupleOverhead);
@@ -724,7 +725,7 @@ StatusOr<TupleVec> SpatialJoinWithClosest(
             auto it = best.find(key);
             if (it == best.end() ||
                 t.at(2).AsDouble() < it->second.at(2).AsDouble()) {
-              best[key] = t;
+              best[key] = std::move(t);
             }
           }
           if (bytes > 0) {
@@ -763,7 +764,7 @@ StatusOr<array::Raster> CopyRasterTo(Cluster* cluster, int dest_node,
 }  // namespace
 
 StatusOr<std::unique_ptr<ParallelTable>> StoreResult(QueryCoordinator* coord,
-                                                     const PerNode& input,
+                                                     PerNode input,
                                                      catalog::TableDef def) {
   Cluster* cluster = coord->cluster();
   int N = cluster->num_nodes();
@@ -781,7 +782,7 @@ StatusOr<std::unique_ptr<ParallelTable>> StoreResult(QueryCoordinator* coord,
   for (int n = 1; n < N; ++n) offset[n] = offset[n - 1] + input[n - 1].size();
 
   // Partition step (parallel): each node charges its own per-tuple CPU
-  // and stages shallow copies per destination. Merge step (post-barrier,
+  // and stages its tuples per destination. Merge step (post-barrier,
   // single-threaded): deep-copy large attributes onto the destination
   // (pulling tiles, charging owner read + link + destination write) and
   // charge the tuple transfers — all the cross-node mutation.
@@ -795,7 +796,7 @@ StatusOr<std::unique_ptr<ParallelTable>> StoreResult(QueryCoordinator* coord,
         for (size_t i = 0; i < input[n].size(); ++i) {
           int dest = alive_ids[(offset[n] + i) % A];
           clock->ChargeCpu(sim::cpu_cost::kTupleOverhead);
-          staged[n].emplace_back(dest, input[n][i]);
+          staged[n].emplace_back(dest, std::move(input[n][i]));
         }
         return Status::OK();
       },

@@ -18,7 +18,10 @@
 namespace paradise::core {
 
 /// Tuples held per node between phases (the materialized edges of the
-/// operator tree).
+/// operator tree). Operators that consume their input (Redistribute,
+/// Broadcast, Gather, the joins, StoreResult) take it by value: callers
+/// std::move an input they no longer need, and tuples travel between
+/// phases without a deep copy.
 using PerNode = std::vector<exec::TupleVec>;
 
 /// Execution context bound to one node, owning its pull source.
@@ -72,17 +75,18 @@ StatusOr<PerNode> ParallelIndexSelectIntRange(QueryCoordinator* coord,
 /// destination, in parallel) followed by a single merge/charge step after
 /// the phase barrier that performs the deliveries and receiver-side
 /// charges — see QueryCoordinator::RunPhase's concurrency contract.
+/// Each tuple is copied to all destinations but the last, and moved there.
 StatusOr<PerNode> Redistribute(
-    QueryCoordinator* coord, const PerNode& input,
+    QueryCoordinator* coord, PerNode input,
     const std::function<void(const exec::Tuple&, std::vector<uint32_t>*)>&
         route);
 
 /// Replicates every tuple to all nodes (small-outer broadcast join).
-StatusOr<PerNode> Broadcast(QueryCoordinator* coord, const PerNode& input);
+StatusOr<PerNode> Broadcast(QueryCoordinator* coord, PerNode input);
 
 /// Collects all per-node results at the coordinator (the result pipeline
 /// back to the client).
-StatusOr<exec::TupleVec> Gather(QueryCoordinator* coord, const PerNode& input);
+StatusOr<exec::TupleVec> Gather(QueryCoordinator* coord, PerNode input);
 
 /// What the adaptive join mode chose and observed for one query — the
 /// advisor-visibility record benches surface (predicted vs observed
@@ -151,10 +155,11 @@ struct ParallelSpatialJoinOptions {
 
 /// Parallel spatial join (Section 2.7.2): spatially redecluster both
 /// inputs with replication, run PBSM per node, and eliminate
-/// replication-induced duplicates with the reference-point rule.
+/// replication-induced duplicates with the reference-point rule. A
+/// predeclustered side is joined in place, without a copy.
 StatusOr<PerNode> ParallelSpatialJoin(QueryCoordinator* coord,
-                                      const PerNode& left, size_t left_col,
-                                      const PerNode& right, size_t right_col,
+                                      PerNode left, size_t left_col,
+                                      PerNode right, size_t right_col,
                                       const geom::Box& universe,
                                       const ParallelSpatialJoinOptions& opts);
 
@@ -181,8 +186,8 @@ struct ClosestJoinStats {
   int64_t replicated_points = 0;  // had to visit every node
 };
 StatusOr<exec::TupleVec> SpatialJoinWithClosest(
-    QueryCoordinator* coord, const PerNode& points, size_t point_col,
-    const PerNode& features, size_t shape_col, const geom::Box& universe,
+    QueryCoordinator* coord, PerNode points, size_t point_col,
+    PerNode features, size_t shape_col, const geom::Box& universe,
     uint32_t tiles_per_axis = SpatialGrid::kDefaultTilesPerAxis,
     ClosestJoinStats* stats = nullptr);
 
@@ -194,7 +199,7 @@ StatusOr<exec::TupleVec> SpatialJoinWithClosest(
 /// parallel; transfers and deep copies happen in the post-barrier merge
 /// step.
 StatusOr<std::unique_ptr<ParallelTable>> StoreResult(
-    QueryCoordinator* coord, const PerNode& input, catalog::TableDef def);
+    QueryCoordinator* coord, PerNode input, catalog::TableDef def);
 
 }  // namespace paradise::core
 

@@ -308,7 +308,7 @@ StatusOr<PerNode> Query::ExecuteAccess(QueryCoordinator* coord,
 
 StatusOr<PerNode> Query::ExecuteJoin(QueryCoordinator* coord,
                                      const JoinChoice& jc,
-                                     const PerNode& outer) const {
+                                     PerNode outer) const {
   Cluster* cluster = coord->cluster();
   if (jc.algo == JoinChoice::kBroadcastIndexNL) {
     const bool two_layer =
@@ -323,12 +323,13 @@ StatusOr<PerNode> Query::ExecuteJoin(QueryCoordinator* coord,
       // network than a broadcast.
       PARADISE_ASSIGN_OR_RETURN(
           everywhere,
-          Redistribute(coord, outer,
+          Redistribute(coord, std::move(outer),
                        [&](const Tuple& t, std::vector<uint32_t>* dest) {
-                         *dest = grid.NodesOfBox(t.at(jc.left_column).Mbr());
+                         grid.NodesOfBox(t.at(jc.left_column).Mbr(), dest);
                        }));
     } else {
-      PARADISE_ASSIGN_OR_RETURN(everywhere, Broadcast(coord, outer));
+      PARADISE_ASSIGN_OR_RETURN(everywhere,
+                                Broadcast(coord, std::move(outer)));
     }
     PerNode out(cluster->num_nodes());
     PARADISE_RETURN_IF_ERROR(
@@ -415,8 +416,8 @@ StatusOr<PerNode> Query::ExecuteJoin(QueryCoordinator* coord,
       }
     }
   }
-  return ParallelSpatialJoin(coord, outer, jc.left_column, inner,
-                             jc.right_column, universe, opts);
+  return ParallelSpatialJoin(coord, std::move(outer), jc.left_column,
+                             std::move(inner), jc.right_column, universe, opts);
 }
 
 std::string Query::Explain() const {
@@ -474,7 +475,8 @@ StatusOr<TupleVec> Query::Run(QueryCoordinator* coord) && {
 
   if (join_.right != nullptr) {
     JoinChoice jc = ChooseJoin(EstimatedDriverRows());
-    PARADISE_ASSIGN_OR_RETURN(rows, ExecuteJoin(coord, jc, rows));
+    PARADISE_ASSIGN_OR_RETURN(rows,
+                              ExecuteJoin(coord, jc, std::move(rows)));
   }
 
   if (has_aggregate_) {
@@ -494,7 +496,8 @@ StatusOr<TupleVec> Query::Run(QueryCoordinator* coord) && {
     rows = std::move(projected);
   }
 
-  PARADISE_ASSIGN_OR_RETURN(TupleVec gathered, Gather(coord, rows));
+  PARADISE_ASSIGN_OR_RETURN(TupleVec gathered,
+                            Gather(coord, std::move(rows)));
   if (order_by_.has_value()) {
     PARADISE_RETURN_IF_ERROR(coord->RunSequential("sort", [&]() -> Status {
       NodeExecContext cc = MakeCoordinatorContext(coord->cluster());

@@ -111,7 +111,7 @@ class Query {
   StatusOr<PerNode> ExecuteAccess(QueryCoordinator* coord,
                                   const AccessPath& path) const;
   StatusOr<PerNode> ExecuteJoin(QueryCoordinator* coord, const JoinChoice& jc,
-                                const PerNode& outer) const;
+                                PerNode outer) const;
 
   const ParallelTable* table_ = nullptr;
   std::vector<SargPredicate> sargs_;

@@ -1,6 +1,7 @@
 #ifndef PARADISE_CORE_SPATIAL_GRID_H_
 #define PARADISE_CORE_SPATIAL_GRID_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -219,18 +220,20 @@ class SpatialGrid {
     return tiles;
   }
 
-  /// Distinct destination nodes for a feature with MBR `b`.
-  std::vector<uint32_t> NodesOfBox(const geom::Box& b) const {
-    std::vector<uint8_t> seen(max_node_ + 1, 0);
-    std::vector<uint32_t> nodes;
-    for (uint32_t t : TilesOfBox(b)) {
-      uint32_t n = NodeOfTile(t);
-      if (!seen[n]) {
-        seen[n] = 1;
-        nodes.push_back(n);
+  /// Replaces `*out` with the distinct destination nodes for a feature
+  /// with MBR `b`, in the order their first tile appears row-major. The
+  /// caller's vector is reused, so routing a tuple allocates nothing.
+  void NodesOfBox(const geom::Box& b, std::vector<uint32_t>* out) const {
+    out->clear();
+    const CellRange r = RangeOfBox(b);
+    for (uint32_t cy = r.cy0; cy <= r.cy1; ++cy) {
+      for (uint32_t cx = r.cx0; cx <= r.cx1; ++cx) {
+        const uint32_t n = NodeOfTile(cy * tiles_per_axis_ + cx);
+        if (std::find(out->begin(), out->end(), n) == out->end()) {
+          out->push_back(n);
+        }
       }
     }
-    return nodes;
   }
 
   /// The feature's reference point: the lower-left corner of its MBR

@@ -51,6 +51,13 @@ uint8_t RecordClass(const ByteBuffer& record) {
   return static_cast<uint8_t>(record[0] >> 1);
 }
 
+/// Primary bit of a stored record's flag byte, read without decoding the
+/// tuple.
+bool RecordIsPrimary(const ByteBuffer& record) {
+  PARADISE_CHECK(!record.empty());
+  return (record[0] & 1) != 0;
+}
+
 /// Content key of a stored record: the serialized tuple without the
 /// flag byte, so a primary copy and its replicas — whatever their class
 /// bits — compare equal.
@@ -135,7 +142,7 @@ StatusOr<std::unique_ptr<ParallelTable>> ParallelTable::Load(
       case catalog::PartitioningKind::kSpatial:
       case catalog::PartitioningKind::kTwoLayer: {
         geom::Box mbr = row.at(def.partition_column).Mbr();
-        destinations = table->grid_.NodesOfBox(mbr);
+        table->grid_.NodesOfBox(mbr, &destinations);
         primary_node = table->grid_.PrimaryNode(mbr);
         break;
       }
@@ -299,10 +306,10 @@ StatusOr<TupleVec> ParallelTable::ScanFragment(Cluster* cluster, int node,
     clock->ChargeCpu(sim::cpu_cost::kTupleOverhead +
                      sim::cpu_cost::kPerByteCopied *
                          static_cast<double>(record.size()));
+    // A replica the scan skips is charged as read but never decoded.
+    if (primaries_only && !RecordIsPrimary(record)) continue;
     bool primary;
-    Tuple t = DecodeRow(record, &primary);
-    if (primaries_only && !primary) continue;
-    out.push_back(std::move(t));
+    out.push_back(DecodeRow(record, &primary));
   }
   return out;
 }
@@ -952,8 +959,10 @@ Status ParallelTable::ValidateOwnership(Cluster* cluster) const {
                             "(lost or duplicated rows)");
   }
   if (spatial) {
+    std::vector<uint32_t> dests;
     for (const auto& [key, mbr] : primary_keys) {
-      for (uint32_t d : grid_.NodesOfBox(mbr)) {
+      grid_.NodesOfBox(mbr, &dests);
+      for (uint32_t d : dests) {
         if (static_cast<size_t>(d) >= fragments_.size()) continue;
         if (!cluster->alive(static_cast<int>(d))) continue;
         auto it = node_keys.find(static_cast<int>(d));

@@ -479,15 +479,16 @@ class PartitionedJoin {
         ++counts[key];
       });
     }
+    // Prefix sums into the offsets; each count becomes its bucket's
+    // running write cursor in place.
     parts->offsets.assign(num_buckets + 1, 0);
     for (size_t k = 0; k < num_buckets; ++k) {
       parts->offsets[k + 1] = parts->offsets[k] + counts[k];
+      counts[k] = parts->offsets[k];
     }
     parts->rows.resize(entry_row.size());
-    std::vector<size_t> cursor(parts->offsets.begin(),
-                               parts->offsets.end() - 1);
     for (size_t e = 0; e < entry_row.size(); ++e) {
-      parts->rows[cursor[entry_key[e]]++] = entry_row[e];
+      parts->rows[counts[entry_key[e]]++] = entry_row[e];
     }
   }
 

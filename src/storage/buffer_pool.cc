@@ -464,11 +464,12 @@ Status BufferPool::FlushAll() {
   locks.reserve(shards_.size());
   for (auto& shard : shards_) locks.emplace_back(shard->mu);
 
+  // Only resident pages can be dirty, so walk the page tables rather than
+  // every frame ever allocated; the runs are sorted before writing.
   std::map<uint32_t, std::vector<internal::Frame*>> dirty_by_volume;
   for (auto& shard : shards_) {
-    for (auto& frame : shard->frames) {
-      internal::Frame& f = *frame;
-      if (f.in_use && f.dirty) dirty_by_volume[f.id.volume].push_back(&f);
+    for (const auto& [id, f] : shard->table) {
+      if (f->dirty) dirty_by_volume[id.volume].push_back(f);
     }
   }
   for (auto& [volume_id, frames] : dirty_by_volume) {
@@ -495,31 +496,31 @@ Status BufferPool::FlushPage(PageId id) {
 }
 
 void BufferPool::DiscardAll() {
+  // Every frame is either resident (in its shard's page table) or already
+  // on the free list, so only the resident ones need resetting. All shards
+  // are locked (index order, as in FlushAll) and checked for pins before
+  // any is touched, so a failed check leaves the pool as it was.
+  std::vector<std::unique_lock<std::mutex>> locks;
+  locks.reserve(shards_.size());
+  for (auto& shard : shards_) locks.emplace_back(shard->mu);
+  for (auto& shard : shards_) {
+    for (const auto& [id, f] : shard->table) {
+      PARADISE_CHECK_MSG(f->pin_count == 0, "DiscardAll with pinned pages");
+    }
+  }
   for (auto& shard : shards_) {
     Shard& s = *shard;
-    std::lock_guard<std::mutex> g(s.mu);
-    PARADISE_CHECK_MSG(
-        [&] {
-          for (auto& f : s.frames) {
-            if (f->in_use && f->pin_count > 0) return false;
-          }
-          return true;
-        }(),
-        "DiscardAll with pinned pages");
+    for (const auto& [id, f] : s.table) {
+      f->in_use = false;
+      f->dirty = false;
+      f->hot = false;
+      f->referenced = false;
+      f->in_lru = false;
+      s.free_frames.push_back(f);
+    }
     s.table.clear();
     s.cold.clear();
     s.hot.clear();
-    s.free_frames.clear();
-    for (auto& frame : s.frames) {
-      internal::Frame& f = *frame;
-      f.in_use = false;
-      f.dirty = false;
-      f.hot = false;
-      f.referenced = false;
-      f.in_lru = false;
-      f.pin_count = 0;
-      s.free_frames.push_back(&f);
-    }
   }
 }
 

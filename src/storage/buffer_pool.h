@@ -173,7 +173,9 @@ class BufferPool {
   Status FlushAll();
   Status FlushPage(PageId id);
 
-  /// Simulated crash: every unflushed frame is lost.
+  /// Simulated crash: every unflushed frame is lost. Costs time in the
+  /// resident pages, not the frames ever allocated. No page may be pinned;
+  /// that is checked on every shard before any frame is dropped.
   void DiscardAll();
 
   /// Drops a page from the pool without writing it back (used when the

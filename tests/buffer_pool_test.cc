@@ -371,6 +371,135 @@ TEST(PageGuardTest, MoveLeavesSourceInvalid) {
   pool.DiscardAll();  // would abort if a pin leaked through the moves
 }
 
+// ---------- Cold reset: DiscardAll and FlushAll ----------
+
+TEST(ColdResetTest, DiscardAllLeavesEveryFrameReusable) {
+  DiskVolume volume(0, nullptr);
+  BufferPool pool(16, /*num_shards=*/1);
+  pool.AttachVolume(&volume);
+  volume.AllocateRun(64);
+  WriteTaggedPages(&volume, 0, 64);
+  // Fill the pool, evict half of it, and invalidate two resident pages:
+  // resident, evicted-and-reused and free-listed frames all exist.
+  for (PageNo p = 0; p < 24; ++p) {
+    auto g = pool.Pin(PageId{0, p});
+    ASSERT_TRUE(g.ok());
+    if (p % 5 == 0) g->MarkDirty();
+  }
+  ASSERT_EQ(pool.stats().evictions, 8);
+  pool.Invalidate(PageId{0, 20});
+  pool.Invalidate(PageId{0, 21});
+  pool.DiscardAll();
+
+  // The pool refills to capacity from its own frames: every pin misses,
+  // nothing is evicted, and a pin past capacity finds no frame (so none
+  // was allocated beyond it).
+  const BufferPool::Stats before = pool.stats();
+  std::vector<PageGuard> held;
+  for (PageNo p = 32; p < 48; ++p) {
+    auto g = pool.Pin(PageId{0, p});
+    ASSERT_TRUE(g.ok()) << "page " << p << ": " << g.status().ToString();
+    EXPECT_EQ(g->page()->payload()[0], static_cast<uint8_t>(p));
+    held.push_back(std::move(*g));
+  }
+  const BufferPool::Stats after = pool.stats();
+  EXPECT_EQ(after.misses - before.misses, 16);
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(after.evictions, before.evictions);
+  EXPECT_EQ(after.dirty_writebacks, before.dirty_writebacks);
+  auto over = pool.Pin(PageId{0, 48});
+  EXPECT_EQ(over.status().code(), StatusCode::kResourceExhausted);
+}
+
+TEST(ColdResetTest, DiscardedShardedPoolBehavesLikeAFreshOne) {
+  DiskVolume volume(0, nullptr);
+  volume.AllocateRun(256);
+  WriteTaggedPages(&volume, 0, 256);
+  auto workload = [&](BufferPool* pool) {
+    for (PageNo p = 0; p < 256; p += 3) {
+      auto g = pool->Pin(PageId{0, p});
+      ASSERT_TRUE(g.ok());
+    }
+    pool->Prefetch(PageId{0, 64}, 32);
+    for (PageNo p = 60; p < 100; ++p) {
+      auto g = pool->Pin(PageId{0, p});
+      ASSERT_TRUE(g.ok());
+    }
+  };
+  BufferPool fresh(64, /*num_shards=*/4);
+  fresh.AttachVolume(&volume);
+  BufferPool reset(64, /*num_shards=*/4);
+  reset.AttachVolume(&volume);
+  workload(&reset);
+  for (PageNo p = 0; p < 256; p += 17) reset.Invalidate(PageId{0, p});
+  reset.DiscardAll();
+
+  const BufferPool::Stats base = reset.stats();
+  workload(&fresh);
+  workload(&reset);
+  const BufferPool::Stats f = fresh.stats();
+  const BufferPool::Stats r = reset.stats();
+  EXPECT_EQ(r.hits - base.hits, f.hits);
+  EXPECT_EQ(r.misses - base.misses, f.misses);
+  EXPECT_EQ(r.evictions - base.evictions, f.evictions);
+  EXPECT_EQ(r.promotions - base.promotions, f.promotions);
+  EXPECT_EQ(r.readahead_pages - base.readahead_pages, f.readahead_pages);
+}
+
+TEST(ColdResetTest, FlushAllWritesMaximalRunsAcrossShardsOnce) {
+  NodeClock clock;
+  DiskVolume volume(0, &clock);
+  BufferPool pool(128, /*num_shards=*/4);
+  pool.AttachVolume(&volume);
+  volume.AllocateRun(128);
+  WriteTaggedPages(&volume, 0, 128);
+  // Dirty pages 0..19 (two kRunPages groups, so two shards), 25, 40..41
+  // and 100; 25 is invalidated before the flush and must not be written.
+  // Pages 60..63 are resident but clean.
+  std::vector<PageNo> dirty;
+  for (PageNo p = 0; p < 20; ++p) dirty.push_back(p);
+  for (PageNo p : {25u, 40u, 41u, 100u}) dirty.push_back(p);
+  for (PageNo p : dirty) {
+    auto g = pool.Pin(PageId{0, p});
+    ASSERT_TRUE(g.ok());
+    g->MarkDirty();
+  }
+  for (PageNo p = 60; p < 64; ++p) ASSERT_TRUE(pool.Pin(PageId{0, p}).ok());
+  pool.Invalidate(PageId{0, 25});
+
+  const ResourceUsage before = clock.phase_usage();
+  ASSERT_TRUE(pool.FlushAll().ok());
+  const ResourceUsage d = UsageDelta(before, clock.phase_usage());
+  const BufferPool::Stats s = pool.stats();
+  EXPECT_EQ(s.writeback_runs, 3);  // [0, 20), [40, 42), [100, 101)
+  EXPECT_EQ(s.writeback_pages, 23);
+  EXPECT_EQ(s.dirty_writebacks, 0);  // eviction-only counter
+  EXPECT_EQ(d.disk_seeks, 3);
+  EXPECT_EQ(d.disk_bytes_written, 23 * static_cast<int64_t>(kPageSize));
+
+  // Everything is clean now: a second flush writes nothing.
+  ASSERT_TRUE(pool.FlushAll().ok());
+  EXPECT_EQ(pool.stats().writeback_runs, 3);
+  EXPECT_EQ(UsageDelta(before, clock.phase_usage()).disk_seeks, 3);
+}
+
+TEST(ColdResetDeathTest, DiscardAllWithAPinnedPageFailsTheCheck) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        DiskVolume volume(0, nullptr);
+        BufferPool pool(64, /*num_shards=*/4);
+        pool.AttachVolume(&volume);
+        volume.AllocateRun(64);
+        WriteTaggedPages(&volume, 0, 64);
+        for (PageNo p = 0; p < 48; ++p) ASSERT_TRUE(pool.Pin(PageId{0, p}).ok());
+        auto pinned = pool.Pin(PageId{0, 50});
+        ASSERT_TRUE(pinned.ok());
+        pool.DiscardAll();
+      },
+      "DiscardAll with pinned pages");
+}
+
 // ---------- Concurrency (exercised under TSan in CI) ----------
 
 TEST(BufferPoolConcurrencyTest, ParallelPinsAndPrefetchesAreRaceFree) {

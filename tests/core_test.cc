@@ -71,10 +71,35 @@ TEST(SpatialGridTest, PrimaryNodeIsAmongDestinations) {
     double x = rng.NextDouble(-120, 120);  // may poke outside the universe
     double y = rng.NextDouble(-120, 120);
     Box b(x, y, x + rng.NextDouble(0, 30), y + rng.NextDouble(0, 30));
-    std::vector<uint32_t> nodes = grid.NodesOfBox(b);
+    std::vector<uint32_t> nodes;
+    grid.NodesOfBox(b, &nodes);
     ASSERT_FALSE(nodes.empty());
     uint32_t primary = grid.PrimaryNode(b);
     EXPECT_NE(std::find(nodes.begin(), nodes.end(), primary), nodes.end());
+  }
+}
+
+TEST(SpatialGridTest, NodesOfBoxIsFirstSeenRowMajorAndReusesTheVector) {
+  Rng rng(21);
+  SpatialGrid grid(Box(0, 0, 100, 100), 20, 8);
+  // Reassigned tiles, some to nodes added by a scale-out.
+  for (uint32_t t = 0; t < grid.num_tiles(); t += 7) {
+    grid.ReassignTile(t, 64 + t % 5);
+  }
+  std::vector<uint32_t> nodes = {999, 998};  // stale contents are replaced
+  for (int i = 0; i < 300; ++i) {
+    double x = rng.NextDouble(-10, 100);
+    double y = rng.NextDouble(-10, 100);
+    Box b(x, y, x + rng.NextDouble(0, 40), y + rng.NextDouble(0, 40));
+    std::vector<uint32_t> want;
+    for (uint32_t t : grid.TilesOfBox(b)) {
+      uint32_t n = grid.NodeOfTile(t);
+      if (std::find(want.begin(), want.end(), n) == want.end()) {
+        want.push_back(n);
+      }
+    }
+    grid.NodesOfBox(b, &nodes);
+    EXPECT_EQ(nodes, want);
   }
 }
 
@@ -161,6 +186,62 @@ TEST(ParallelTableTest, SpatialLoadReplicatesSpanningTuples) {
     for (const Tuple& t : *frag) seen.insert(t.at(0).AsInt());
   }
   EXPECT_EQ(seen, Ids(rows));
+}
+
+/// A primaries-only scan as it used to run: decode every stored record,
+/// then drop the replicas.
+TupleVec DecodeThenFilter(const ParallelTable& table, int node) {
+  TupleVec out;
+  auto it = table.fragment(node).file->NewIterator();
+  storage::Oid oid;
+  ByteBuffer record;
+  while (it.Next(&oid, &record)) {
+    ByteReader r(record);
+    const bool primary = (r.GetU8() & 1) != 0;
+    Tuple t = Tuple::Deserialize(&r);
+    if (primary) out.push_back(std::move(t));
+  }
+  return out;
+}
+
+ByteBuffer SerializeRows(const TupleVec& rows) {
+  ByteBuffer out;
+  ByteWriter w(&out);
+  for (const Tuple& t : rows) t.Serialize(&w);
+  return out;
+}
+
+TEST(ParallelTableTest, PrimariesOnlyScanEqualsDecodeThenFilter) {
+  for (PartitioningKind kind :
+       {PartitioningKind::kSpatial, PartitioningKind::kTwoLayer}) {
+    SCOPED_TRACE(kind == PartitioningKind::kSpatial ? "spatial" : "two-layer");
+    Cluster cluster(4, SmallClusterOptions());
+    Rng rng(31);
+    Box universe(-60, -60, 60, 60);
+    TupleVec rows = RandomPolyTuples(&rng, 200, 50, 8);  // spans tiles
+    auto table = ParallelTable::Load(&cluster, PolyTableDef("t", kind, universe),
+                                     rows, /*tiles_per_axis=*/20);
+    ASSERT_TRUE(table.ok());
+    ASSERT_GT((*table)->num_stored(), (*table)->num_rows());  // replicas
+    for (int n = 0; n < 4; ++n) {
+      cluster.ResetForQuery();
+      auto all = (*table)->ScanFragment(&cluster, n, false);
+      ASSERT_TRUE(all.ok());
+      const sim::ResourceUsage all_usage =
+          cluster.node(n).clock()->total_usage();
+      cluster.ResetForQuery();
+      auto primaries = (*table)->ScanFragment(&cluster, n, true);
+      ASSERT_TRUE(primaries.ok());
+      const sim::ResourceUsage usage = cluster.node(n).clock()->total_usage();
+      EXPECT_EQ(SerializeRows(*primaries),
+                SerializeRows(DecodeThenFilter(**table, n)));
+      EXPECT_LT(primaries->size(), all->size());
+      // Skipped replicas are still read and charged per record.
+      EXPECT_EQ(usage.cpu_ops, all_usage.cpu_ops);
+      EXPECT_EQ(usage.disk_seeks, all_usage.disk_seeks);
+      EXPECT_EQ(usage.disk_bytes_read, all_usage.disk_bytes_read);
+    }
+  }
 }
 
 TEST(ParallelTableTest, ScanChargesDiskOnce) {

@@ -22,6 +22,7 @@
 #include "datagen/datagen.h"
 #include "index/b_plus_tree.h"
 #include "sim/cost_model.h"
+#include "sim/fault_injector.h"
 #include "storage/page.h"
 
 namespace paradise {
@@ -269,6 +270,167 @@ TEST_P(ThreadCountDeterminismTest, ModeledTimeAndRowsBitIdentical) {
 
 INSTANTIATE_TEST_SUITE_P(Queries, ThreadCountDeterminismTest,
                          ::testing::Values(2, 5, 11, 12, 13));
+
+// ---------- Tuple ownership between phases ----------
+//
+// Redistribute, Broadcast, Gather and the joins take their inputs by
+// value. Moving an input in must give exactly what handing over a copy
+// gives, and a copied input must come back untouched.
+
+/// Everything one run of the ownership pipeline observes: rendered rows,
+/// every clock's usage (hex floats, so equality is bit equality), the
+/// modeled seconds and the per-query join stats.
+struct OwnershipRun {
+  std::vector<std::string> rows;
+  std::vector<std::string> usage;
+  double seconds = 0.0;
+  exec::PbsmJoinStats stats;
+  int64_t faults = 0;  // injected read faults plus dropped/duplicated batches
+};
+
+std::string RenderUsage(const sim::ResourceUsage& u) {
+  char buf[256];
+  std::snprintf(buf, sizeof(buf), "%lld %lld %lld %lld %lld %a %a",
+                static_cast<long long>(u.disk_seeks),
+                static_cast<long long>(u.disk_bytes_read),
+                static_cast<long long>(u.disk_bytes_written),
+                static_cast<long long>(u.net_messages),
+                static_cast<long long>(u.net_bytes), u.cpu_ops,
+                u.idle_seconds);
+  return buf;
+}
+
+/// Passes `input` on by std::move, or as a copy whose source must survive.
+template <typename Fn>
+auto HandOn(bool move, PerNode& input, Fn&& op) {
+  if (move) return op(std::move(input));
+  std::vector<std::string> before;
+  for (const TupleVec& v : input) {
+    for (const std::string& r : RenderRows(v)) before.push_back(r);
+  }
+  auto result = op(input);
+  std::vector<std::string> after;
+  for (const TupleVec& v : input) {
+    for (const std::string& r : RenderRows(v)) after.push_back(r);
+  }
+  EXPECT_EQ(before, after) << "a copied input was modified";
+  return result;
+}
+
+/// Q13's redeclustered and predeclustered joins plus Q12's closest join
+/// on the tiny database, every intermediate handed on moved or copied.
+OwnershipRun RunOwnershipPipeline(int num_threads, bool faulted, bool move) {
+  namespace col = datagen::col;
+  LoadedDb loaded = LoadTinyDb(4, num_threads);
+  Cluster* cluster = loaded.cluster.get();
+  benchmark::BenchmarkDatabase& db = *loaded.db;
+  sim::FaultInjector inj(/*seed=*/17);
+  inj.set_transient_read_rate(0.05);
+  inj.set_torn_read_rate(0.05);
+  inj.set_transfer_drop_rate(0.02);
+  inj.set_transfer_duplicate_rate(0.02);
+  if (faulted) cluster->SetFaultInjector(&inj);
+
+  OwnershipRun out;
+  QueryCoordinator coord(cluster);
+  EXPECT_TRUE(coord.BeginQuery().ok());
+  auto gather = [&](PerNode per) {
+    auto rows = HandOn(move, per, [&](PerNode in) {
+      return core::Gather(&coord, std::move(in));
+    });
+    EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+    if (!rows.ok()) return;
+    for (std::string& r : RenderRows(*rows)) out.rows.push_back(std::move(r));
+  };
+
+  // Redeclustered PBSM: both sides pass through Redistribute.
+  auto left = core::ParallelScan(&coord, db.drainage(), nullptr, {});
+  auto right = core::ParallelScan(&coord, db.roads(), nullptr, {});
+  EXPECT_TRUE(left.ok() && right.ok());
+  core::ParallelSpatialJoinOptions opts;
+  auto joined = HandOn(move, *left, [&](PerNode l) {
+    return HandOn(move, *right, [&](PerNode r) {
+      return core::ParallelSpatialJoin(&coord, std::move(l), col::kLineShape,
+                                       std::move(r), col::kLineShape,
+                                       db.universe(), opts);
+    });
+  });
+  EXPECT_TRUE(joined.ok()) << joined.status().ToString();
+  if (joined.ok()) gather(std::move(*joined));
+
+  // Predeclustered join: both sides are joined where they lie.
+  auto left_all = core::ParallelScanAll(&coord, db.drainage(), nullptr);
+  auto right_all = core::ParallelScanAll(&coord, db.roads(), nullptr);
+  EXPECT_TRUE(left_all.ok() && right_all.ok());
+  core::ParallelSpatialJoinOptions pre;
+  pre.left_predeclustered = true;
+  pre.right_predeclustered = true;
+  pre.routing_grid = &db.drainage().grid();
+  pre.tiles_per_axis = db.drainage().grid().tiles_per_axis();
+  auto placed = HandOn(move, *left_all, [&](PerNode l) {
+    return HandOn(move, *right_all, [&](PerNode r) {
+      return core::ParallelSpatialJoin(&coord, std::move(l), col::kLineShape,
+                                       std::move(r), col::kLineShape,
+                                       db.universe(), pre);
+    });
+  });
+  EXPECT_TRUE(placed.ok()) << placed.status().ToString();
+  if (placed.ok()) gather(std::move(*placed));
+
+  // Closest join: points and features redistributed, the unresolved
+  // points broadcast.
+  auto points = core::ParallelScan(&coord, db.places(), nullptr, {});
+  auto features = core::ParallelScan(&coord, db.drainage(), nullptr, {});
+  EXPECT_TRUE(points.ok() && features.ok());
+  auto closest = HandOn(move, *points, [&](PerNode p) {
+    return HandOn(move, *features, [&](PerNode f) {
+      return core::SpatialJoinWithClosest(&coord, std::move(p),
+                                          col::kPlaceLocation, std::move(f),
+                                          col::kLineShape, db.universe(), 8);
+    });
+  });
+  EXPECT_TRUE(closest.ok()) << closest.status().ToString();
+  if (closest.ok()) {
+    for (std::string& r : RenderRows(*closest)) out.rows.push_back(std::move(r));
+  }
+  coord.EndQuery();
+
+  out.seconds = coord.query_seconds();
+  out.stats = coord.pbsm_stats();
+  out.stats.parallel_tasks = 0;  // pooled ? ran : 0 — the one
+                                 // thread-dependent field
+  for (int n = 0; n < cluster->num_nodes(); ++n) {
+    out.usage.push_back(RenderUsage(cluster->node(n).clock()->total_usage()));
+  }
+  out.usage.push_back(RenderUsage(cluster->coordinator_clock()->total_usage()));
+  const sim::FaultInjector::Stats fs = inj.stats();
+  out.faults = fs.transient_read_faults + fs.torn_read_faults +
+               fs.dropped_batches + fs.duplicated_batches;
+  cluster->SetFaultInjector(nullptr);
+  return out;
+}
+
+TEST(TupleOwnershipTest, MovedInputsMatchCopiedAtOneAndEightThreads) {
+  for (bool faulted : {false, true}) {
+    const OwnershipRun copied1 = RunOwnershipPipeline(1, faulted, false);
+    EXPECT_FALSE(copied1.rows.empty());
+    EXPECT_GT(copied1.stats.dedup_tests, 0);
+    EXPECT_EQ(copied1.faults > 0, faulted);
+    for (int threads : {1, 8}) {
+      for (bool move : {false, true}) {
+        SCOPED_TRACE(::testing::Message()
+                     << (faulted ? "faulted" : "clean") << ", " << threads
+                     << " threads, " << (move ? "moved" : "copied"));
+        const OwnershipRun run = RunOwnershipPipeline(threads, faulted, move);
+        EXPECT_EQ(run.rows, copied1.rows);
+        EXPECT_EQ(run.usage, copied1.usage);
+        EXPECT_EQ(run.seconds, copied1.seconds);
+        EXPECT_EQ(run.stats, copied1.stats);
+        EXPECT_EQ(run.faults, copied1.faults);
+      }
+    }
+  }
+}
 
 // ---------- StoreResult round-robin placement ----------
 
